@@ -3,17 +3,13 @@ package ringsym_test
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
 	"ringsym"
 )
-
-var updateAgreement = flag.Bool("update-agreement", false, "rewrite testdata/runtime_agreement.txt after asserting that all three runtimes agree")
 
 // agreementFile records, for every point of the coordination and discovery
 // grids below, the rounds, crossings and result digest the runtimes agreed on.
@@ -71,7 +67,7 @@ func agreementGrid() []agreementPoint {
 	return pts
 }
 
-// agreementRun is the observable outcome of one grid point on one runtime.
+// agreementRun is the observable outcome of one grid point.
 type agreementRun struct {
 	res       any
 	err       error
@@ -79,7 +75,7 @@ type agreementRun struct {
 	crossings int
 }
 
-func runAgreementPoint(t *testing.T, p agreementPoint, rt ringsym.Runtime) agreementRun {
+func runAgreementPoint(t *testing.T, p agreementPoint) agreementRun {
 	t.Helper()
 	nw, err := ringsym.RandomNetwork(ringsym.RandomConfig{N: p.n, Model: p.model, MixedChirality: p.mixed, Seed: p.seed})
 	if err != nil {
@@ -88,10 +84,10 @@ func runAgreementPoint(t *testing.T, p agreementPoint, rt ringsym.Runtime) agree
 	var r agreementRun
 	switch p.task {
 	case "coordinate":
-		res, err := nw.Coordinate(ringsym.CoordinationOptions{Seed: p.seed, Runtime: rt})
+		res, err := nw.Coordinate(ringsym.CoordinationOptions{Seed: p.seed})
 		r.res, r.err = res, err
 	case "discover":
-		res, err := nw.DiscoverLocations(ringsym.DiscoveryOptions{Seed: p.seed, Runtime: rt})
+		res, err := nw.DiscoverLocations(ringsym.DiscoveryOptions{Seed: p.seed})
 		r.res, r.err = res, err
 	}
 	r.rounds, r.crossings = nw.Rounds(), nw.Engine().Crossings()
@@ -115,51 +111,26 @@ func (r agreementRun) line(t *testing.T, p agreementPoint) string {
 	return fmt.Sprintf("%s rounds=%d crossings=%d sha256=%x", p, r.rounds, r.crossings, sha256.Sum256(payload))
 }
 
-// TestRuntimeAgreement runs every grid point on the FSM scheduler (v3), the
-// barrier runtime (v2) and the legacy channel-rendezvous runtime (v1), and
-// demands deep-equal results, identical round counts, identical v3/v2
-// crossing counts and crossings == rounds on v1 (which executes one crossing
-// per round by construction).  It then checks the agreed outcome against the
-// recorded file; -update-agreement rewrites it.
+// TestRuntimeAgreement checks every grid point against the recorded
+// agreement of the three runtimes the engine used to have: the v1 legacy
+// channel rendezvous (one crossing per round), the v2 goroutine-per-agent
+// barrier and the v3 scheduler.  The file was generated while all three ran
+// and asserted deep-equal results, equal round counts and equal v2/v3
+// crossing counts at every point, so the scheduler alone must still
+// reproduce each recorded line.
 func TestRuntimeAgreement(t *testing.T) {
-	var lines []string
-	for _, p := range agreementGrid() {
-		f := runAgreementPoint(t, p, ringsym.RuntimeFSM)
-		b := runAgreementPoint(t, p, ringsym.RuntimeBarrier)
-		l := runAgreementPoint(t, p, ringsym.RuntimeLegacy)
-		if (f.err == nil) != (b.err == nil) || (f.err == nil) != (l.err == nil) {
-			t.Fatalf("%v: error disagreement fsm=%v barrier=%v legacy=%v", p, f.err, b.err, l.err)
-		}
-		if f.err != nil && (f.err.Error() != b.err.Error() || f.err.Error() != l.err.Error()) {
-			t.Fatalf("%v: error text disagreement fsm=%q barrier=%q legacy=%q", p, f.err, b.err, l.err)
-		}
-		if f.err == nil && (!reflect.DeepEqual(f.res, b.res) || !reflect.DeepEqual(f.res, l.res)) {
-			t.Fatalf("%v: result disagreement\nfsm:     %+v\nbarrier: %+v\nlegacy:  %+v", p, f.res, b.res, l.res)
-		}
-		if f.rounds != b.rounds || f.rounds != l.rounds {
-			t.Fatalf("%v: rounds disagreement fsm=%d barrier=%d legacy=%d", p, f.rounds, b.rounds, l.rounds)
-		}
-		if f.crossings != b.crossings {
-			t.Fatalf("%v: crossings disagreement fsm=%d barrier=%d", p, f.crossings, b.crossings)
-		}
-		if l.crossings != l.rounds {
-			t.Fatalf("%v: legacy crossings %d != rounds %d", p, l.crossings, l.rounds)
-		}
-		lines = append(lines, f.line(t, p))
-	}
-	got := strings.Join(lines, "\n") + "\n"
-	if *updateAgreement {
-		if err := os.WriteFile(agreementFile, []byte(agreementHeader+got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	raw, err := os.ReadFile(agreementFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.TrimPrefix(string(raw), agreementHeader)
-	if got != want {
-		t.Fatalf("runtime agreement drifted from %s:\n%s", agreementFile, got)
+	want := strings.Split(strings.TrimSuffix(strings.TrimPrefix(string(raw), agreementHeader), "\n"), "\n")
+	grid := agreementGrid()
+	if len(want) != len(grid) {
+		t.Fatalf("%s has %d lines for %d grid points", agreementFile, len(want), len(grid))
+	}
+	for i, p := range grid {
+		if got := runAgreementPoint(t, p).line(t, p); got != want[i] {
+			t.Errorf("%v drifted from the recorded agreement:\ngot:  %s\nwant: %s", p, got, want[i])
+		}
 	}
 }

@@ -213,22 +213,20 @@ func BenchmarkAblationDissemination(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (int, error) {
-				link, err := rcomm.Establish(core.NewFrame(a))
-				if err != nil {
-					return 0, err
-				}
-				before := a.RoundsUsed()
-				isSource := a.ID()%8 == 1
-				if sparse {
-					_, _, err = link.DisseminateSparse(isSource, uint64(a.ID()), payloadBits, distance)
-				} else {
-					_, _, err = link.Disseminate(isSource, uint64(a.ID()), payloadBits, distance)
-				}
-				if err != nil {
-					return 0, err
-				}
-				return a.RoundsUsed() - before, nil
+			res, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
+				return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+					return rcomm.EstablishStep(core.NewFrame(a), func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+						before := a.RoundsUsed()
+						isSource := a.ID()%8 == 1
+						k := func(rcomm.SideInfo, rcomm.SideInfo) (engine.Yield, engine.Cont) {
+							return done(a.RoundsUsed() - before)
+						}
+						if sparse {
+							return link.DisseminateSparseStep(isSource, uint64(a.ID()), payloadBits, distance, k)
+						}
+						return link.DisseminateStep(isSource, uint64(a.ID()), payloadBits, distance, k)
+					})
+				})
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -253,14 +251,18 @@ func BenchmarkAblationNontrivialDetection(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (int, error) {
-				f := core.NewFrame(a)
-				if weak {
-					_, _, err := core.WeakNontrivialMoveEven(f, int64(i))
-					return f.RoundsUsed(), err
-				}
-				_, err := core.NontrivialMoveEven(f, int64(i))
-				return f.RoundsUsed(), err
+			res, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
+				return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+					f := core.NewFrame(a)
+					if weak {
+						return core.WeakNontrivialMoveEvenStep(f, int64(i), func(ring.Direction, int) (engine.Yield, engine.Cont) {
+							return done(f.RoundsUsed())
+						})
+					}
+					return core.NontrivialMoveEvenStep(f, int64(i), func(ring.Direction) (engine.Yield, engine.Cont) {
+						return done(f.RoundsUsed())
+					})
+				})
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -338,12 +340,11 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	b.Run("symmetric-cached", func(b *testing.B) { runSym(b, true) })
 }
 
-// benchEngineRound measures the raw cost of a single synchronised round
-// (goroutine barrier plus the analytic collision engine) on the given
-// runtime, reporting rounds/sec.  run is engine.Run (the v2 direct-dispatch
-// barrier) or engine.RunLegacy (the v1 channel rendezvous kept as baseline);
-// the v1-vs-v2 ratio is the speedup recorded in EXPERIMENTS.md.
-func benchEngineRound(b *testing.B, run func(*engine.Network, func(*engine.Agent) (int, error)) (*engine.Result[int], error)) {
+// BenchmarkEngineRound measures the raw cost of a single synchronised round
+// (one scheduler crossing plus the analytic collision engine), reporting
+// rounds/sec: every agent flips its direction each round, so no two
+// consecutive rounds can share a leap.
+func BenchmarkEngineRound(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cfg := netgen.MustGenerate(netgen.Options{N: n, Seed: 1, Model: ring.Perceptive})
@@ -354,18 +355,25 @@ func benchEngineRound(b *testing.B, run func(*engine.Network, func(*engine.Agent
 			}
 			b.ResetTimer()
 			rounds := b.N
-			_, err = run(nw, func(a *engine.Agent) (int, error) {
-				dir := ring.Clockwise
+			_, err = engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
+				first := ring.Clockwise
 				if a.ID()%2 == 0 {
-					dir = ring.Anticlockwise
+					first = ring.Anticlockwise
 				}
-				for i := 0; i < rounds; i++ {
-					if _, err := a.Round(dir); err != nil {
-						return 0, err
+				return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+					var loop func(i int) (engine.Yield, engine.Cont)
+					loop = func(i int) (engine.Yield, engine.Cont) {
+						if i == rounds {
+							return done(0)
+						}
+						dir := first
+						if i%2 == 1 {
+							dir = first.Opposite()
+						}
+						return a.YieldRound(dir), func(engine.Resume) (engine.Yield, engine.Cont) { return loop(i + 1) }
 					}
-					dir = dir.Opposite()
-				}
-				return 0, nil
+					return loop(0)
+				})
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -375,25 +383,13 @@ func benchEngineRound(b *testing.B, run func(*engine.Network, func(*engine.Agent
 	}
 }
 
-// BenchmarkEngineRound measures the v2 direct-dispatch runtime.
-func BenchmarkEngineRound(b *testing.B) {
-	benchEngineRound(b, engine.Run[int])
-}
-
-// BenchmarkEngineRoundLegacy measures the retained v1 channel-rendezvous
-// runtime on the same workload, for direct comparison with
-// BenchmarkEngineRound.
-func BenchmarkEngineRoundLegacy(b *testing.B) {
-	benchEngineRound(b, engine.RunLegacy[int])
-}
-
 // BenchmarkEngineLeap measures leap execution on the constant-direction sweep
 // workload: every agent keeps a fixed direction (both directions present) and
-// submits it in doubling batches via RoundN, so each barrier crossing
+// submits it in batches of 512 rounds via YieldRoundN, so each crossing
 // executes a whole closed-form stretch.  The per-round baseline for the
 // leap-vs-single speedup recorded in EXPERIMENTS.md is
 // BenchmarkEngineLeapSingle, the identical workload submitted one round at a
-// time (the v2 per-round path).
+// time (the per-round path).
 func BenchmarkEngineLeap(b *testing.B) {
 	benchEngineSweep(b, 512)
 }
@@ -414,7 +410,7 @@ func benchEngineSweep(b *testing.B, batch int) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if _, err := engine.Run(nw, eval.EngineSweepProtocol(b.N, batch)); err != nil {
+			if _, err := engine.RunFSM(nw, eval.EngineSweepProtocol(b.N, batch)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")

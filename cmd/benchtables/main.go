@@ -10,7 +10,7 @@
 // With no selection flags everything is printed.  When the tables are
 // generated, the per-cell measurements (setting, observed rounds, theoretical
 // bound) are additionally written as machine-readable JSON so that successive
-// runs can be compared automatically; -json ” disables the file.
+// runs can be compared automatically; -json "" disables the file.
 package main
 
 import (
@@ -34,20 +34,14 @@ func main() {
 	figures := flag.Bool("figures", false, "print the Figure 1/2 reductions and the Figure 3 curve")
 	distinguishers := flag.Bool("distinguishers", false, "print the Section IV distinguisher experiment")
 	engineBench := flag.Bool("engine", false, "measure engine rounds/sec, single-round vs leap execution")
-	schedBench := flag.Bool("sched", false, "A/B the three runtimes: rounds/sec and small-n campaign scenarios/sec for fsm (v3), barrier (v2) and legacy (v1)")
 	sizes := flag.String("sizes", "16,32,64,128", "comma-separated network sizes n")
 	seed := flag.Int64("seed", 1, "seed for configurations and pseudo-random schedules")
 	idFactor := flag.Int("idfactor", 4, "identifier bound N as a multiple of n")
 	jsonPath := flag.String("json", "BENCH_tables.json", "write the table measurements as JSON to this file ('' disables)")
 	engineJSONPath := flag.String("enginejson", "BENCH_engine.json", "write the engine throughput measurements as JSON to this file ('' disables)")
-	schedJSONPath := flag.String("schedjson", "BENCH_sched.json", "write the runtime A/B measurements as JSON to this file ('' disables)")
-	schedReps := flag.Int("schedreps", 5, "interleaved repetitions per -sched arm (the median is reported)")
 	flag.Parse()
 
-	// -sched is opt-in even in "run everything" mode: its legacy arm replays
-	// the whole campaign grid on the v1 rendezvous runtime, which would
-	// dominate a default artefact regeneration.
-	if !*tables && !*figures && !*distinguishers && !*engineBench && !*schedBench {
+	if !*tables && !*figures && !*distinguishers && !*engineBench {
 		*tables, *figures, *distinguishers, *engineBench = true, true, true, true
 	}
 	ns, err := parseSizes(*sizes)
@@ -115,52 +109,11 @@ func main() {
 			}
 		}
 	}
-	if *schedBench {
-		entries, err := eval.MeasureSched(eval.SchedConfig{Seed: *seed, Reps: *schedReps})
-		if err != nil {
-			log.Fatal(err)
-		}
-		printSched(entries)
-		if *schedJSONPath != "" {
-			raw, err := json.MarshalIndent(entries, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*schedJSONPath, append(raw, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-}
-
-// printSched renders the runtime A/B table: per-round sweep throughput and
-// whole-scenario campaign throughput for the v3/v2/v1 runtimes, with each
-// non-barrier arm's speedup over the v2 barrier baseline.
-func printSched(entries []eval.SchedEntry) {
-	fmt.Println("Runtime A/B - fsm (v3) vs barrier (v2) vs legacy (v1), interleaved medians")
-	fmt.Println()
-	fmt.Println("| workload | runtime |    n | scenarios |        value | unit          | vs barrier |")
-	fmt.Println("|----------|---------|-----:|----------:|-------------:|---------------|-----------:|")
-	for _, e := range entries {
-		n, sc, speedup := "", "", ""
-		if e.N > 0 {
-			n = fmt.Sprintf("%d", e.N)
-		}
-		if e.Scenarios > 0 {
-			sc = fmt.Sprintf("%d", e.Scenarios)
-		}
-		if e.SpeedupVsBarrier > 0 {
-			speedup = fmt.Sprintf("%.2fx", e.SpeedupVsBarrier)
-		}
-		fmt.Printf("| %-8s | %-7s | %4s | %9s | %12.1f | %-13s | %10s |\n",
-			e.Workload, e.Runtime, n, sc, e.Value, e.Unit, speedup)
-	}
-	fmt.Println()
 }
 
 // engineEntry is one engine throughput measurement: a constant-direction
-// sweep workload on n agents driven either one round per barrier crossing
-// ("single", the v2 per-round path) or in leap batches ("leap").  The file
+// sweep workload on n agents driven either one round per crossing
+// ("single", the per-round path) or in leap batches ("leap").  The file
 // BENCH_engine.json tracks the repo's raw engine throughput across
 // revisions, next to the round-count trends of BENCH_tables.json.
 type engineEntry struct {

@@ -5,10 +5,20 @@
 // (Lemma 12), together with the reductions of Theorem 7.
 //
 // All algorithms are written from a single agent's point of view: they take a
-// *Frame (the agent plus its current software sense of direction) and block
-// on rounds through the engine runtime.  Every agent of the network runs the
+// *Frame (the agent plus its current software sense of direction) and are
+// resumable state machines in continuation-passing style, one …Step function
+// per algorithm.  A step returns the agent's next round request
+// (engine.Yield) together with the continuation to resume with, and passes
+// its result to its continuation k; engine.NewProto turns a step into a
+// machine the engine's scheduler runs.  Every agent of the network runs the
 // same function; global consistency comes from the observations being shared
-// (rotation indices are global) exactly as argued in the paper.
+// (rotation indices are global) exactly as argued in the paper.  Validation
+// failures abort the machine through the yield and run failures arrive as
+// Resume errors, both intercepted by engine.Proto, so steps carry no error
+// plumbing.
+//
+// Observation-slice arguments passed to continuations alias the agent's resume
+// buffer: consume (or copy) them before the next yield.
 package core
 
 import (
@@ -41,7 +51,7 @@ type Frame struct {
 	flipped bool
 	full    int64
 
-	// schedScratch holds frame-to-agent translations of RoundSchedule
+	// schedScratch holds frame-to-agent translations of RoundScheduleStep
 	// submissions; reused across calls.
 	schedScratch []ring.Direction
 }
@@ -93,18 +103,12 @@ func (f *Frame) translate(dir ring.Direction) ring.Direction {
 	return dir
 }
 
-// Round executes one round in which the agent moves in direction dir
-// (frame coordinates) and returns the observation with dist() measured in the
-// frame's clockwise direction.
-func (f *Frame) Round(dir ring.Direction) (engine.Observation, error) {
-	obs, err := f.agent.Round(f.translate(dir))
-	if err != nil {
-		return engine.Observation{}, err
-	}
+// flipObs maps one observation into the frame's orientation.
+func (f *Frame) flipObs(obs engine.Observation) engine.Observation {
 	if f.flipped && obs.Dist != 0 {
 		obs.Dist = f.full - obs.Dist
 	}
-	return obs, nil
+	return obs
 }
 
 // retranslate maps an observation trace into the frame's orientation,
@@ -120,63 +124,63 @@ func (f *Frame) retranslate(trace []engine.Observation) []engine.Observation {
 	return trace
 }
 
-// RoundN executes k consecutive rounds in which the agent moves in direction
-// dir (frame coordinates), submitted as a single leap batch, and returns the
-// per-round observations — exactly what k sequential Round calls would have
-// returned, without k barrier crossings.
-func (f *Frame) RoundN(dir ring.Direction, k int) ([]engine.Observation, error) {
-	return f.RoundNInto(dir, k, nil)
-}
-
-// RoundNInto is RoundN writing the trace into dst from index 0, reusing its
-// capacity and overwriting any existing contents.
-func (f *Frame) RoundNInto(dir ring.Direction, k int, dst []engine.Observation) ([]engine.Observation, error) {
-	trace, err := f.agent.RoundNInto(f.translate(dir), k, dst)
-	if err != nil {
-		return nil, err
+// RoundStep executes one round in which the agent moves in direction dir
+// (frame coordinates); k receives the observation with dist() measured in the
+// frame's clockwise direction.
+func (f *Frame) RoundStep(dir ring.Direction, k func(engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return f.agent.YieldRound(f.translate(dir)), func(in engine.Resume) (engine.Yield, engine.Cont) {
+		return k(f.flipObs(in.Obs[0]))
 	}
-	return f.retranslate(trace), nil
 }
 
-// RoundNSum executes k rounds in direction dir (frame coordinates) and
-// returns only the cumulative displacement of the stretch, measured in the
+// RoundNStep executes n consecutive rounds in which the agent moves in
+// direction dir (frame coordinates), submitted as a single leap batch; k
+// receives the per-round observations in the frame's orientation — exactly
+// what n sequential RoundStep calls would have observed, without n crossings.
+func (f *Frame) RoundNStep(dir ring.Direction, n int, k func([]engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return f.agent.YieldRoundN(f.translate(dir), n), func(in engine.Resume) (engine.Yield, engine.Cont) {
+		return k(f.retranslate(in.Obs))
+	}
+}
+
+// RoundNSumStep executes n rounds in direction dir (frame coordinates); k
+// receives only the cumulative displacement of the stretch, measured in the
 // frame's clockwise direction modulo the full circle.  Use it for stretches
 // whose per-round observations are discarded (restores, undo phases): the
 // runtime then skips materialising the trace entirely.
-func (f *Frame) RoundNSum(dir ring.Direction, k int) (int64, error) {
-	sum, err := f.agent.RoundNSum(f.translate(dir), k)
-	if err != nil {
-		return 0, err
+func (f *Frame) RoundNSumStep(dir ring.Direction, n int, k func(int64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return f.agent.YieldRoundSum(f.translate(dir), n), func(in engine.Resume) (engine.Yield, engine.Cont) {
+		sum := in.Sum
+		if f.flipped && sum != 0 {
+			sum = f.full - sum
+		}
+		return k(sum)
 	}
-	if f.flipped && sum != 0 {
-		sum = f.full - sum
-	}
-	return sum, nil
 }
 
-// RoundUntil executes up to k rounds in direction dir (frame coordinates),
-// stopping after the first round at which the frame displacement (the value
-// Displacement reports) equals target.  The stop is solved in closed form by
-// the runtime, so the batch consumes exactly as many rounds as the
-// equivalent per-round loop — no overshoot.  The returned trace covers the
-// executed rounds.
-func (f *Frame) RoundUntil(dir ring.Direction, target int64, k int, dst []engine.Observation) ([]engine.Observation, error) {
+// RoundUntilStep executes up to n rounds in direction dir (frame
+// coordinates), stopping after the first round at which the frame
+// displacement (the value Displacement reports) equals target.  The stop is
+// solved in closed form by the runtime, so the batch consumes exactly as many
+// rounds as the equivalent per-round loop — no overshoot.  k receives the
+// trace of the executed rounds.  Like engine.Agent.YieldRoundUntil it
+// snapshots the agent's displacement, so it must be invoked at yield time,
+// not built ahead.
+func (f *Frame) RoundUntilStep(dir ring.Direction, target int64, n int, k func([]engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	agentTarget := target
 	if f.flipped && target != 0 {
 		agentTarget = f.full - target
 	}
-	trace, err := f.agent.RoundUntil(f.translate(dir), agentTarget, k, dst)
-	if err != nil {
-		return nil, err
+	return f.agent.YieldRoundUntil(f.translate(dir), agentTarget, n), func(in engine.Resume) (engine.Yield, engine.Cont) {
+		return k(f.retranslate(in.Obs))
 	}
-	return f.retranslate(trace), nil
 }
 
-// RoundSchedule executes a whole per-round direction schedule (frame
-// coordinates) as one batch and returns the per-round observations.  The
+// RoundScheduleStep executes a whole per-round direction schedule (frame
+// coordinates) as one batch; k receives the per-round observations.  The
 // schedule is translated into the agent's frame in a scratch buffer, so the
 // caller's slice is never modified.
-func (f *Frame) RoundSchedule(dirs []ring.Direction, dst []engine.Observation) ([]engine.Observation, error) {
+func (f *Frame) RoundScheduleStep(dirs []ring.Direction, k func([]engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if cap(f.schedScratch) < len(dirs) {
 		f.schedScratch = make([]ring.Direction, len(dirs))
 	}
@@ -184,26 +188,21 @@ func (f *Frame) RoundSchedule(dirs []ring.Direction, dst []engine.Observation) (
 	for i, d := range dirs {
 		sched[i] = f.translate(d)
 	}
-	trace, err := f.agent.RoundSchedule(sched, dst)
-	if err != nil {
-		return nil, err
+	return f.agent.YieldSchedule(sched), func(in engine.Resume) (engine.Yield, engine.Cont) {
+		return k(f.retranslate(in.Obs))
 	}
-	return f.retranslate(trace), nil
 }
 
-// RoundPair executes SINGLEROUND followed by REVERSEDROUND for the given
+// RoundPairStep executes SINGLEROUND followed by REVERSEDROUND for the given
 // direction, so that afterwards every agent is back at the position it
-// occupied before the pair (provided every agent uses RoundPair with its own
-// direction).  It returns the observation of the first round.
-func (f *Frame) RoundPair(dir ring.Direction) (engine.Observation, error) {
-	obs, err := f.Round(dir)
-	if err != nil {
-		return engine.Observation{}, err
-	}
-	if _, err := f.Round(dir.Opposite()); err != nil {
-		return engine.Observation{}, err
-	}
-	return obs, nil
+// occupied before the pair (provided every agent uses RoundPairStep with its
+// own direction); k receives the observation of the first round.
+func (f *Frame) RoundPairStep(dir ring.Direction, k func(engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return f.RoundStep(dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
+		return f.RoundStep(dir.Opposite(), func(engine.Observation) (engine.Yield, engine.Cont) {
+			return k(obs)
+		})
+	})
 }
 
 // RotationClass classifies the rotation index of a direction assignment as
@@ -246,30 +245,28 @@ func (c RotationClass) String() string {
 // though RotBelowHalf/RotAboveHalf themselves are frame-relative.
 func (c RotationClass) Nontrivial() bool { return c == RotBelowHalf || c == RotAboveHalf }
 
-// ClassifyRotation implements Lemma 2: it executes the assignment in which
-// this agent moves in direction dir twice (all agents must call it with their
-// respective directions) and classifies the assignment's rotation index.
-// When restore is true two reversed rounds follow, so every agent ends at the
-// position it started from.  Cost: 2 rounds (4 with restore).
-func (f *Frame) ClassifyRotation(dir ring.Direction, restore bool) (RotationClass, error) {
-	var pair [2]engine.Observation
-	trace, err := f.RoundNInto(dir, 2, pair[:0])
-	if err != nil {
-		return RotUnknown, err
-	}
-	obs1, obs2 := trace[0], trace[1]
-	if restore {
+// ClassifyRotationStep implements Lemma 2: it executes the assignment in
+// which this agent moves in direction dir twice (all agents must call it with
+// their respective directions) and passes the classification of the
+// assignment's rotation index to k.  When restore is true two reversed rounds
+// follow, so every agent ends at the position it started from.  Cost: 2
+// rounds (4 with restore).
+func (f *Frame) ClassifyRotationStep(dir ring.Direction, restore bool, k func(RotationClass) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return f.RoundNStep(dir, 2, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
+		cls := classOf(f.full, trace[0], trace[1])
+		if !restore {
+			return k(cls)
+		}
 		// The reversed rounds' observations are discarded, so the aggregate
 		// form suffices.
-		if _, err := f.RoundNSum(dir.Opposite(), 2); err != nil {
-			return RotUnknown, err
-		}
-	}
-	return classOf(f.full, obs1, obs2), nil
+		return f.RoundNSumStep(dir.Opposite(), 2, func(int64) (engine.Yield, engine.Cont) {
+			return k(cls)
+		})
+	})
 }
 
 // classOf is Lemma 2's classification from the two observations of the double
-// execution, shared by the blocking and the machine form.
+// execution.
 func classOf(full int64, obs1, obs2 engine.Observation) RotationClass {
 	switch sum := obs1.Dist + obs2.Dist; {
 	case obs1.Dist == 0:

@@ -57,24 +57,16 @@ type Result struct {
 	RoundsDiscovery    int
 }
 
-// LocationDiscovery solves location discovery in the given agent's model,
-// choosing the appropriate algorithm (see the package comment).
-func LocationDiscovery(a *engine.Agent, opts Options) (*Result, error) {
-	return engine.RunMachine(a, LocationDiscoveryMachine(a, opts))
-}
-
-// LocationDiscoveryMachine builds the model-dispatching discovery pipeline as
-// a resumable machine for the engine's v3 scheduler; LocationDiscovery drives
-// the same machine through the blocking dispatcher on the v1/v2 runtimes.
+// LocationDiscoveryMachine builds the model-dispatching discovery pipeline
+// (LocationDiscoveryStep) as a resumable machine for the engine's scheduler.
 func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Result] {
-	return engine.NewProto(func(done func(*Result, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return LocationDiscoveryStep(a, opts, func(r *Result) (engine.Yield, engine.Cont) {
-			return done(r, nil)
-		})
+	return engine.NewProto(func(done func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return LocationDiscoveryStep(a, opts, done)
 	})
 }
 
-// LocationDiscoveryStep is the machine form of LocationDiscovery.
+// LocationDiscoveryStep solves location discovery in the given agent's model,
+// choosing the appropriate algorithm (see the package comment).
 func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	even := a.NParity() == engine.ParityEven
 	switch a.Model() {

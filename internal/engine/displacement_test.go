@@ -30,18 +30,15 @@ func TestDisplacementTracksTruePosition(t *testing.T) {
 			id   int
 			disp int64
 		}
-		res, err := Run(nw, func(a *Agent) (out, error) {
+		res, err := RunFSM(nw, func(a *Agent) *Proto[out] {
 			local := rand.New(rand.NewSource(seeds[nw.IndexOfID(a.ID())]))
-			for r := 0; r < rounds; r++ {
-				dir := ring.Clockwise
+			dir := func(int) ring.Direction {
 				if local.Intn(2) == 0 {
-					dir = ring.Anticlockwise
+					return ring.Anticlockwise
 				}
-				if _, err := a.Round(dir); err != nil {
-					return out{}, err
-				}
+				return ring.Clockwise
 			}
-			return out{a.ID(), a.Displacement()}, nil
+			return perRound(a, rounds, dir, nil, func() out { return out{a.ID(), a.Displacement()} })
 		})
 		if err != nil {
 			t.Fatal(err)

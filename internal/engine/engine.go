@@ -3,30 +3,20 @@
 //
 // An agent only interacts with the world through its Agent handle: it knows
 // its unique identifier, the identifier bound N, the parity of n and nothing
-// else.  Submitting a direction (expressed in the agent's own, private sense
-// of direction) schedules the next round; the round executes on the exact
-// analytic engine (internal/ring) once every agent has chosen, and each agent
-// receives its observation translated back into its own frame.  That
-// rendezvous is what the round-based model of the paper calls a "synchronised
-// round".
-//
-// Three runtimes implement it, sharing one crossing executor (exec.go) so
-// their round sequences are byte-identical:
-//
-//   - v3 scheduler (sched.go, RunFSM/RunFSMContext): the default.  Protocols
-//     are resumable state machines (fsm.go); one scheduler goroutine per
-//     scenario steps every machine to its next yield and executes crossings
-//     inline — no goroutine per agent, no barrier, no mutexes.
-//   - v2 barrier (barrier.go, RunBarrier/RunBarrierContext, also reachable as
-//     Run/RunContext): one pooled goroutine per agent (gopool.go) meeting at
-//     an atomic-countdown barrier; the last arriver executes the crossing.
-//   - v1 legacy (legacy.go, RunLegacy): the original coordinator-goroutine,
-//     channel-rendezvous runtime, retained as the differential-testing and
-//     benchmark baseline.
+// else.  A protocol is a resumable state machine in continuation-passing style
+// (fsm.go): instead of blocking on a round it returns a Yield, a request for
+// one or more rounds in directions expressed in the agent's own, private sense
+// of direction, together with the continuation to resume with.  The scheduler
+// (sched.go, RunFSM/RunFSMContext) steps every agent's machine to its next
+// yield on the calling goroutine, executes the rounds on the exact analytic
+// engine (internal/ring) through the crossing executor (exec.go) once every
+// agent has chosen, and resumes each machine with its observations translated
+// back into its own frame.  That step is what the round-based model of the
+// paper calls a "synchronised round"; there is no goroutine per agent and no
+// synchronisation inside a run.
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -118,23 +108,19 @@ type Observation struct {
 }
 
 // Network owns the objective ring state and coordinates rounds.  A Network
-// supports at most one run at a time: a concurrent Run/RunContext/RunLegacy
-// on the same Network fails with ErrRunInProgress instead of corrupting the
-// shared state.  Sequential runs reuse the same agent handles, barrier
-// buffers and pooled goroutines.
+// supports at most one run at a time: a second RunFSM/RunFSMContext on the
+// same Network while one is in flight, including one started from inside a
+// machine's step, fails with ErrRunInProgress instead of corrupting the
+// shared state.  Sequential runs reuse the same agent handles.
 type Network struct {
 	cfg     Config
 	state   *ring.State
 	agents  []*Agent
 	idToIdx map[int]int
-	barrier *barrier
 
-	// crossings counts the barrier crossings (leap batches) executed on this
-	// network, cumulative across runs like the round count.  Single-writer:
-	// only the goroutine currently executing a crossing increments it (the
-	// barrier's countdown + hand-off lock, the scheduler's single goroutine
-	// and the legacy coordinator each guarantee that), ordered by the same
-	// synchronisation that orders the ring state itself.
+	// crossings counts the crossings (leap batches) executed on this network,
+	// cumulative across runs like the round count.  Only the scheduler
+	// goroutine of the network's current run increments it.
 	crossings int
 
 	mu      sync.Mutex // guards running and (between runs) broken
@@ -143,11 +129,10 @@ type Network struct {
 }
 
 // Agent is the handle through which a protocol acts.  An Agent is only valid
-// inside the protocol invocation it was created for and must not be shared
-// across goroutines.
+// inside the run its machine was built for and must not be shared across
+// goroutines.
 type Agent struct {
 	nw         *Network
-	d          dispatcher
 	idx        int // ring index (never revealed to protocols)
 	id         int
 	idBound    int
@@ -160,9 +145,8 @@ type Agent struct {
 
 	// Scratch buffers reused across batched submissions: objBuf receives the
 	// executor-written objective observations, dirBuf holds the objective
-	// translation of a schedule.  Both stay stable while the agent is blocked
-	// in the dispatcher, which is the only time the executor reads them.
-	// resBuf holds the own-frame translation of the trace a machine is resumed
+	// translation of a schedule.  Both stay stable while the agent's yield is
+	// pending, which is the only time the executor reads them.  resBuf holds the own-frame translation of the trace a machine is resumed
 	// with (fsm.go); it is valid until the machine's next yield.
 	objBuf []ring.Observation
 	dirBuf []ring.Direction
@@ -210,9 +194,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	// The barrier is built lazily on the first blocking run (ensureBarrier):
-	// a network that only ever runs on the FSM scheduler never pays for the
-	// barrier's per-agent slots and wake channels.
 	nw := &Network{cfg: cfg, state: st, idToIdx: idToIdx}
 	nw.agents = make([]*Agent, n)
 	for i := 0; i < n; i++ {
@@ -232,7 +213,7 @@ func New(cfg Config) (*Network, error) {
 
 // Reset re-initialises the network in place for a new configuration, reusing
 // the ring state, agent objects (with their grown scratch buffers), ID index
-// and barrier of the previous one.  It validates exactly like New.  On error
+// of the previous one.  It validates exactly like New.  On error
 // the network may be left partially updated and must be discarded; Reset is
 // for scenario sweeps over trusted generators, where rebuilding a complete
 // network object per scenario is pure allocation overhead.  Reset must not be
@@ -289,7 +270,6 @@ func (nw *Network) Reset(cfg Config) error {
 			a = &Agent{nw: nw, idx: i}
 			nw.agents[i] = a
 		}
-		a.d = nil
 		a.id = cfg.IDs[i]
 		a.idBound = cfg.IDBound
 		a.parity = nw.parity()
@@ -301,21 +281,6 @@ func (nw *Network) Reset(cfg Config) error {
 		a.pend = batch{} // drop stale trace/schedule pointers
 	}
 	return nil
-}
-
-// ensureBarrier returns the network's barrier, building it on first blocking
-// use and re-pointing (or, after a Reset grew the network, rebuilding) it
-// otherwise.  The FSM runtime never calls it, so networks driven only by the
-// scheduler skip the barrier's slots and wake channels entirely.
-func (nw *Network) ensureBarrier() *barrier {
-	if nw.barrier == nil || len(nw.barrier.complete) < nw.N() {
-		nw.barrier = newBarrier(nw)
-	} else {
-		// Re-point the executor at the (possibly Reset) network state and
-		// resize its slots; init reuses capacity, so this is allocation-free.
-		nw.barrier.leapExec.init(nw)
-	}
-	return nw.barrier
 }
 
 // N returns the number of agents (not revealed to protocols).
@@ -330,7 +295,7 @@ func (nw *Network) Circ() int64 { return nw.cfg.Circ }
 // Rounds returns the number of rounds executed so far.
 func (nw *Network) Rounds() int { return nw.state.Rounds() }
 
-// Crossings returns the number of barrier crossings (leap batches) executed
+// Crossings returns the number of crossings (leap batches) executed
 // so far; rounds/crossings is the mean leap length.  Like Rounds it
 // accumulates across sequential runs and must not be read concurrently with
 // one.
@@ -423,95 +388,8 @@ func (nw *Network) endRun() {
 	nw.mu.Unlock()
 }
 
-// Run executes protocol on every agent concurrently and waits for all of
-// them.  It returns the per-agent outputs (indexed by ring index) and the
-// number of rounds consumed.  Protocol errors from different agents are
-// joined into a single error.
-func Run[T any](nw *Network, protocol func(a *Agent) (T, error)) (*Result[T], error) {
-	//ringvet:allow ctxflow context-free compatibility wrapper: RunContext is the cancellable form
-	return RunContext(context.Background(), nw, protocol)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, the in-flight
-// round barrier is aborted, every blocked Agent.Round returns an error
-// wrapping the context's error within one round, and the run's joined error
-// reports the cancellation.  A protocol is expected to return when Round
-// fails; a protocol that ignores Round errors keeps receiving the same
-// sticky error, and one that blocks forever without calling Round cannot be
-// interrupted (the goroutine is parked inside protocol code the runtime does
-// not own).
-func RunContext[T any](ctx context.Context, nw *Network, protocol func(a *Agent) (T, error)) (*Result[T], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: run not started: %w", err)
-	}
-	if err := nw.beginRun(); err != nil {
-		return nil, err
-	}
-	defer nw.endRun()
-
-	n := nw.N()
-	startRounds := nw.state.Rounds()
-	b := nw.ensureBarrier()
-	b.reset(n)
-
-	outputs := make([]T, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		a := nw.agents[i]
-		a.d = b
-		submit(func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[a.idx] = fmt.Errorf("%w: %v", ErrProtocolPanic, r)
-				}
-				// Always deregister so the barrier can finish the run.
-				b.leave()
-			}()
-			out, err := protocol(a)
-			outputs[a.idx] = out
-			errs[a.idx] = err
-		})
-	}
-
-	if ctx.Done() != nil {
-		// AfterFunc avoids spawning a watcher goroutine per run on the
-		// common non-cancelled path.  When stop reports the callback already
-		// started, join it before returning: an in-flight abort must not
-		// leak into the next run's fresh barrier state.
-		abortDone := make(chan struct{})
-		stop := context.AfterFunc(ctx, func() {
-			b.abort(ctx.Err())
-			close(abortDone)
-		})
-		defer func() {
-			if !stop() {
-				<-abortDone
-			}
-		}()
-	}
-	wg.Wait()
-
-	res := &Result[T]{Rounds: nw.state.Rounds() - startRounds, Outputs: outputs}
-	return res, joinRunErrors(nw, b.runErr(), errs)
-}
-
-// RunBarrier is the canonical name of the v2 barrier runtime's entry point;
-// Run is the same runtime (kept as the facade's blocking workhorse).
-func RunBarrier[T any](nw *Network, protocol func(a *Agent) (T, error)) (*Result[T], error) {
-	return Run(nw, protocol)
-}
-
-// RunBarrierContext is RunBarrier with cancellation; see RunContext.
-func RunBarrierContext[T any](ctx context.Context, nw *Network, protocol func(a *Agent) (T, error)) (*Result[T], error) {
-	return RunContext(ctx, nw, protocol)
-}
-
 // joinRunErrors merges the run-level error (max rounds, broken state,
-// cancellation) with the per-agent protocol errors, matching the error shape
-// of the original runtime.
+// cancellation) with the per-agent protocol errors.
 func joinRunErrors(nw *Network, runErr error, errs []error) error {
 	all := make([]error, 0, len(errs)+1)
 	if runErr != nil {
@@ -621,21 +499,6 @@ func (a *Agent) absorb(rep ring.Observation) Observation {
 	return obs
 }
 
-// Round submits the agent's chosen direction (in its own frame) for the next
-// round, blocks until the round has been executed, and returns the agent's
-// observation translated into its own frame.  Round is the degenerate
-// single-round case of the batched submission API (RoundN and friends).
-func (a *Agent) Round(dir ring.Direction) (Observation, error) {
-	if err := a.checkDir(dir); err != nil {
-		return Observation{}, err
-	}
-	buf := a.obsScratch(1)
-	if _, _, err := a.d.awaitBatch(a.idx, batch{dir: a.objective(dir), k: 1, trace: buf}); err != nil {
-		return Observation{}, err
-	}
-	return a.absorb(buf[0]), nil
-}
-
 // finishTrace translates the executed prefix of the objective trace into the
 // agent's frame, writing into dst from index 0 (existing contents are
 // overwritten; only dst's capacity is reused).
@@ -648,120 +511,4 @@ func (a *Agent) finishTrace(executed int, dst []Observation) []Observation {
 		dst[j] = a.absorb(a.objBuf[j])
 	}
 	return dst
-}
-
-// RoundN submits the same direction (in the agent's own frame) for k
-// consecutive rounds as one leap batch: the runtime executes the whole
-// constant-direction stretch without waking the agent in between, in closed
-// form where the other agents' directions allow it.  It returns the per-round
-// observation trace, exactly what k sequential Round calls would have
-// returned.
-func (a *Agent) RoundN(dir ring.Direction, k int) ([]Observation, error) {
-	return a.RoundNInto(dir, k, nil)
-}
-
-// RoundNInto is RoundN writing the trace into dst from index 0, reusing its
-// capacity and overwriting any existing contents; a caller
-// that keeps the same buffer across batches submits without allocation.
-func (a *Agent) RoundNInto(dir ring.Direction, k int, dst []Observation) ([]Observation, error) {
-	if err := a.checkDir(dir); err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("engine: %w: got %d", ring.ErrBadRoundCount, k)
-	}
-	buf := a.obsScratch(k)
-	executed, _, err := a.d.awaitBatch(a.idx, batch{dir: a.objective(dir), k: k, trace: buf})
-	if err != nil {
-		return nil, err
-	}
-	return a.finishTrace(executed, dst), nil
-}
-
-// RoundNSum is the aggregate form of RoundN for callers that only need the
-// cumulative displacement of the stretch: no per-round trace is materialised
-// (the runtime derives the total in O(1) per leap), and the return value is
-// the agent's displacement over the k rounds, measured in its own clockwise
-// direction modulo the full circle.
-func (a *Agent) RoundNSum(dir ring.Direction, k int) (int64, error) {
-	if err := a.checkDir(dir); err != nil {
-		return 0, err
-	}
-	if k < 1 {
-		return 0, fmt.Errorf("engine: %w: got %d", ring.ErrBadRoundCount, k)
-	}
-	_, agg, err := a.d.awaitBatch(a.idx, batch{dir: a.objective(dir), k: k})
-	if err != nil {
-		return 0, err
-	}
-	own := agg
-	if !a.chirality && agg != 0 {
-		own = a.fullCircle - agg
-	}
-	a.rounds += k
-	a.disp = (a.disp + own) % a.fullCircle
-	return own, nil
-}
-
-// RoundUntil is RoundN with an early-stop condition: the batch ends after the
-// first round at which the agent's cumulative run displacement (the value
-// Displacement would report) equals target, even if fewer than k rounds have
-// executed; the trace covers exactly the executed rounds.  The runtime solves
-// the stop in closed form, so the batch never overshoots the round at which
-// the equivalent per-round loop — Round until Displacement() == target —
-// would have stopped.  When no round in the batch reaches target, all k
-// rounds execute.
-func (a *Agent) RoundUntil(dir ring.Direction, target int64, k int, dst []Observation) ([]Observation, error) {
-	if err := a.checkDir(dir); err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("engine: %w: got %d", ring.ErrBadRoundCount, k)
-	}
-	if target < 0 || target >= a.fullCircle {
-		return nil, fmt.Errorf("engine: displacement target %d outside [0, %d)", target, a.fullCircle)
-	}
-	buf := a.obsScratch(k)
-	executed, _, err := a.d.awaitBatch(a.idx, batch{
-		dir:        a.objective(dir),
-		k:          k,
-		trace:      buf,
-		stop:       true,
-		stopTarget: a.objDisp(target),
-		objDisp:    a.objDisp(a.disp),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a.finishTrace(executed, dst), nil
-}
-
-// RoundSchedule submits a whole per-round direction schedule (in the agent's
-// own frame) as one batch: the runtime executes all len(dirs) rounds without
-// waking the agent in between, leaping over the constant-direction stretches
-// of the schedule.  It returns the per-round observation trace, exactly what
-// sequential Round calls over dirs would have returned.  Use it when the
-// agent knows its upcoming directions in advance (broadcasts, communication
-// phases); schedules of different agents need not agree — the barrier splits
-// the leap wherever batch lengths or directions require.
-func (a *Agent) RoundSchedule(dirs []ring.Direction, dst []Observation) ([]Observation, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("engine: %w: empty schedule", ring.ErrBadRoundCount)
-	}
-	if cap(a.dirBuf) < len(dirs) {
-		a.dirBuf = make([]ring.Direction, len(dirs))
-	}
-	sched := a.dirBuf[:len(dirs)]
-	for i, d := range dirs {
-		if err := a.checkDir(d); err != nil {
-			return nil, err
-		}
-		sched[i] = a.objective(d)
-	}
-	buf := a.obsScratch(len(dirs))
-	executed, _, err := a.d.awaitBatch(a.idx, batch{dirs: sched, k: len(dirs), trace: buf})
-	if err != nil {
-		return nil, err
-	}
-	return a.finishTrace(executed, dst), nil
 }

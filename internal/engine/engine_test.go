@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ringsym/internal/ring"
@@ -16,6 +17,34 @@ func testConfig(model ring.Model, chirality []bool) Config {
 		IDBound:   16,
 		Chirality: chirality,
 	}
+}
+
+// perRound builds a machine that plays rounds single rounds: dir(i) chooses
+// the direction of round i, obs (if non-nil) receives its observation, and
+// result computes the machine's output once the rounds are done.  Every
+// callback runs inside the machine's steps, so a panic in one is a protocol
+// panic.
+func perRound[T any](a *Agent, rounds int, dir func(i int) ring.Direction, obs func(i int, o Observation), result func() T) *Proto[T] {
+	return NewProto(func(done func(T) (Yield, Cont)) (Yield, Cont) {
+		var step func(i int) (Yield, Cont)
+		step = func(i int) (Yield, Cont) {
+			if i == rounds {
+				return done(result())
+			}
+			return a.YieldRound(dir(i)), func(in Resume) (Yield, Cont) {
+				if obs != nil {
+					obs(i, in.Obs[0])
+				}
+				return step(i + 1)
+			}
+		}
+		return step(0)
+	})
+}
+
+// constDir is a perRound direction function that always returns dir.
+func constDir(dir ring.Direction) func(int) ring.Direction {
+	return func(int) ring.Direction { return dir }
 }
 
 func TestNewValidation(t *testing.T) {
@@ -100,8 +129,9 @@ func TestSingleRoundObservations(t *testing.T) {
 	}
 	// Every agent chooses its own clockwise; flipped agents therefore move
 	// objectively anticlockwise: nC=3, nA=2, rotation 1.
-	res, err := Run(nw, func(a *Agent) (Observation, error) {
-		return a.Round(ring.Clockwise)
+	res, err := RunFSM(nw, func(a *Agent) *Proto[Observation] {
+		var first Observation
+		return perRound(a, 1, constDir(ring.Clockwise), func(_ int, o Observation) { first = o }, func() Observation { return first })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +170,10 @@ func TestAgentIdentityExposure(t *testing.T) {
 		model     ring.Model
 		circ      int64
 	}
-	res, err := Run(nw, func(a *Agent) (ident, error) {
-		return ident{a.ID(), a.IDBound(), a.NParity(), a.Model(), a.FullCircle()}, nil
+	res, err := RunFSM(nw, func(a *Agent) *Proto[ident] {
+		return perRound(a, 0, nil, nil, func() ident {
+			return ident{a.ID(), a.IDBound(), a.NParity(), a.Model(), a.FullCircle()}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +198,9 @@ func TestHiddenParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(nw, func(a *Agent) (Parity, error) { return a.NParity(), nil })
+	res, err := RunFSM(nw, func(a *Agent) *Proto[Parity] {
+		return perRound(a, 0, nil, nil, a.NParity)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +216,8 @@ func TestIdleRejectedInBasicModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nw, func(a *Agent) (struct{}, error) {
-		_, err := a.Round(ring.Idle)
-		return struct{}{}, err
+	_, err = RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+		return perRound(a, 1, constDir(ring.Idle), nil, func() struct{} { return struct{}{} })
 	})
 	if !errors.Is(err, ErrIdleNotAllowed) {
 		t.Fatalf("got %v, want ErrIdleNotAllowed", err)
@@ -196,9 +229,8 @@ func TestInvalidDirectionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nw, func(a *Agent) (struct{}, error) {
-		_, err := a.Round(ring.Direction(55))
-		return struct{}{}, err
+	_, err = RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+		return perRound(a, 1, constDir(ring.Direction(55)), nil, func() struct{} { return struct{}{} })
 	})
 	if !errors.Is(err, ErrBadDirection) {
 		t.Fatalf("got %v, want ErrBadDirection", err)
@@ -212,12 +244,8 @@ func TestMaxRoundsEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nw, func(a *Agent) (int, error) {
-		for i := 0; ; i++ {
-			if _, err := a.Round(ring.Clockwise); err != nil {
-				return i, err
-			}
-		}
+	_, err = RunFSM(nw, func(a *Agent) *Proto[int] {
+		return perRound(a, math.MaxInt, constDir(ring.Clockwise), nil, a.RoundsUsed)
 	})
 	if !errors.Is(err, ErrMaxRoundsExceed) {
 		t.Fatalf("got %v, want ErrMaxRoundsExceed", err)
@@ -232,12 +260,14 @@ func TestProtocolPanicIsRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nw, func(a *Agent) (int, error) {
-		if a.ID() == 12 {
-			panic("boom")
+	_, err = RunFSM(nw, func(a *Agent) *Proto[int] {
+		dir := func(int) ring.Direction {
+			if a.ID() == 12 {
+				panic("boom")
+			}
+			return ring.Clockwise
 		}
-		obs, err := a.Round(ring.Clockwise)
-		return int(obs.Dist), err
+		return perRound(a, 1, dir, nil, a.RoundsUsed)
 	})
 	if !errors.Is(err, ErrProtocolPanic) {
 		t.Fatalf("got %v, want ErrProtocolPanic", err)
@@ -252,17 +282,12 @@ func TestEarlyReturningAgentGetsDefaultDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(nw, func(a *Agent) (int, error) {
+	res, err := RunFSM(nw, func(a *Agent) *Proto[int] {
 		roundsWanted := 1
 		if a.ID() == 7 {
 			roundsWanted = 4
 		}
-		for i := 0; i < roundsWanted; i++ {
-			if _, err := a.Round(ring.Clockwise); err != nil {
-				return 0, err
-			}
-		}
-		return a.RoundsUsed(), nil
+		return perRound(a, roundsWanted, constDir(ring.Clockwise), nil, a.RoundsUsed)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,21 +306,20 @@ func TestEarlyReturningAgentGetsDefaultDirection(t *testing.T) {
 	}
 }
 
-// TestSequentialRunsShareState verifies that consecutive Run invocations
+// TestSequentialRunsShareState verifies that consecutive RunFSM invocations
 // continue from the current ring state and keep counting rounds.
 func TestSequentialRunsShareState(t *testing.T) {
 	nw, err := New(testConfig(ring.Basic, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := func(a *Agent) (struct{}, error) {
-		_, err := a.Round(ring.Anticlockwise)
-		return struct{}{}, err
+	one := func(a *Agent) *Proto[struct{}] {
+		return perRound(a, 1, constDir(ring.Anticlockwise), nil, func() struct{} { return struct{}{} })
 	}
-	if _, err := Run(nw, one); err != nil {
+	if _, err := RunFSM(nw, one); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(nw, one)
+	res, err := RunFSM(nw, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,29 +340,27 @@ func TestParityString(t *testing.T) {
 }
 
 // TestDeterministicOutcome runs the same multi-round mixed-chirality protocol
-// twice and checks that observations are identical: goroutine scheduling must
-// not influence results.
+// twice and checks that observations are identical.
 func TestDeterministicOutcome(t *testing.T) {
 	collect := func() [][]int64 {
 		nw, err := New(testConfig(ring.Perceptive, []bool{false, true, false, true, true}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(nw, func(a *Agent) ([]int64, error) {
+		res, err := RunFSM(nw, func(a *Agent) *Proto[[]int64] {
 			var trace []int64
-			dir := ring.Clockwise
+			first := ring.Clockwise
 			if a.ID()%2 == 0 {
-				dir = ring.Anticlockwise
+				first = ring.Anticlockwise
 			}
-			for i := 0; i < 6; i++ {
-				obs, err := a.Round(dir)
-				if err != nil {
-					return nil, err
+			dir := func(i int) ring.Direction {
+				if i%2 == 1 {
+					return first.Opposite()
 				}
-				trace = append(trace, obs.Dist, obs.Coll)
-				dir = dir.Opposite()
+				return first
 			}
-			return trace, nil
+			record := func(_ int, obs Observation) { trace = append(trace, obs.Dist, obs.Coll) }
+			return perRound(a, 6, dir, record, func() []int64 { return trace })
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,17 +1,8 @@
-// The v3 runtime's agent model: a protocol is a resumable state machine in
-// continuation-passing style.  Instead of blocking inside Agent.Round, a
-// machine RETURNS its next round/leap-batch request as a Yield together with
-// the continuation to resume with, and the scheduler (sched.go) — one
-// goroutine per scenario — executes the crossing and feeds the Resume back
-// in.  No goroutine per agent, no barrier, no mutexes, no per-agent stacks:
-// every mutation of protocol state happens on the scheduler goroutine.
-//
-// The same machines also run unchanged on the v2 barrier and v1 legacy
-// runtimes: RunMachine drives a machine to completion through the agent's
-// blocking dispatcher, which is exactly how the blocking protocol entry
-// points (core.Coordinate and friends) are implemented.  One protocol source,
-// three runtimes — which is what entitles the differential tests to demand
-// byte-identical traces.
+// The agent model: a protocol is a resumable state machine in
+// continuation-passing style.  A machine RETURNS its next round/leap-batch
+// request as a Yield together with the continuation to resume with, and the
+// scheduler (sched.go) executes the crossing and feeds the Resume back in.
+// Every mutation of protocol state happens on the scheduler's goroutine.
 package engine
 
 import (
@@ -42,10 +33,9 @@ type Resume struct {
 type Cont func(in Resume) (Yield, Cont)
 
 // Yield is one agent's round/leap-batch request, built by the Agent's Yield*
-// builders (never literally): the same validated, frame-translated submission
-// the blocking Round* methods hand to the dispatcher.  A Yield carrying an
-// abort error terminates the machine with that error instead of executing
-// (see Abort).
+// builders (never literally): a validated submission translated into the
+// global frame.  A Yield carrying an abort error terminates the machine with
+// that error instead of executing (see Abort).
 //
 // A Yield is a three-word handle, not the batch itself: the batch lives in the
 // agent's single pending slot and b points at it.  Keeping the struct at
@@ -61,9 +51,9 @@ type Yield struct {
 }
 
 // Abort terminates a machine with err without executing further rounds.  It
-// is the exception channel of the CPS form: protocol code returns
-// Abort(err) where the blocking form returned err, and Proto surfaces it as
-// the machine's error — so intermediate layers need no error plumbing.
+// is the exception channel of the CPS form: protocol code returns Abort(err)
+// to fail, and Proto surfaces it as the machine's error — so intermediate
+// layers need no error plumbing.
 func Abort(err error) (Yield, Cont) { return Yield{abort: err}, nil }
 
 // Machine is a resumable agent protocol.  Step consumes the Resume of the
@@ -78,27 +68,26 @@ type Machine interface {
 // Proto adapts a continuation-passing protocol into a Machine with a typed
 // result.  It owns the machine-level error handling: a Resume carrying a run
 // failure and a yield carrying an abort both terminate the machine with that
-// error, so protocol code in CPS form contains no error propagation at all —
-// errors travel exactly as they did through the blocking call chain, which
-// was propagate-only everywhere.
+// error, so protocol code in CPS form contains no error propagation at all.
 type Proto[T any] struct {
 	next Cont
 	out  T
 	err  error
 }
 
-// NewProto builds a Proto from a CPS start function.  start receives the
-// machine's done callback and returns the first yield; protocol code calls
-// done(result, err) exactly where the blocking form returned.
-func NewProto[T any](start func(done func(T, error) (Yield, Cont)) (Yield, Cont)) *Proto[T] {
+// NewProto builds a Proto from a protocol in step form: start receives the
+// machine's done continuation and returns the first yield, and protocol code
+// calls done(result) where it finishes.  Every …Step function of the protocol
+// packages has this shape once its leading arguments are bound.
+func NewProto[T any](start func(done func(T) (Yield, Cont)) (Yield, Cont)) *Proto[T] {
 	p := &Proto[T]{}
 	p.next = func(Resume) (Yield, Cont) { return start(p.finish) }
 	return p
 }
 
-// finish is the done callback handed to the protocol by NewProto.
-func (p *Proto[T]) finish(out T, err error) (Yield, Cont) {
-	p.out, p.err = out, err
+// finish is the done continuation handed to the protocol by NewProto.
+func (p *Proto[T]) finish(out T) (Yield, Cont) {
+	p.out = out
 	return Yield{}, nil
 }
 
@@ -140,9 +129,9 @@ func (a *Agent) yield(bt batch) Yield {
 	return Yield{b: &a.pend}
 }
 
-// YieldRound is the yield form of Round: one round in direction dir (the
-// agent's own frame); the continuation resumes with the single observation in
-// Resume.Obs[0].
+// YieldRound requests one round in direction dir (the agent's own frame);
+// the continuation resumes with the agent's observation, translated into its
+// own frame, in Resume.Obs[0].
 func (a *Agent) YieldRound(dir ring.Direction) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -150,9 +139,12 @@ func (a *Agent) YieldRound(dir ring.Direction) Yield {
 	return a.yield(batch{dir: a.objective(dir), k: 1, trace: a.obsScratch(1)})
 }
 
-// YieldRoundN is the yield form of RoundN: k rounds in direction dir as one
-// leap batch; the continuation resumes with the per-round trace in
-// Resume.Obs.
+// YieldRoundN requests k consecutive rounds in direction dir (the agent's own
+// frame) as one leap batch: the scheduler executes the whole
+// constant-direction stretch without resuming the machine in between, in
+// closed form where the other agents' directions allow it.  The continuation
+// resumes with the per-round trace in Resume.Obs, exactly what k YieldRound
+// steps would have observed.
 func (a *Agent) YieldRoundN(dir ring.Direction, k int) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -163,9 +155,11 @@ func (a *Agent) YieldRoundN(dir ring.Direction, k int) Yield {
 	return a.yield(batch{dir: a.objective(dir), k: k, trace: a.obsScratch(k)})
 }
 
-// YieldRoundSum is the yield form of RoundNSum: k rounds in direction dir,
-// aggregate mode; the continuation resumes with the stretch's cumulative
-// own-frame displacement in Resume.Sum.
+// YieldRoundSum is the aggregate form of YieldRoundN for machines that only
+// need the stretch's cumulative displacement: no per-round trace is
+// materialised (the executor derives the total in O(1) per leap), and the
+// continuation resumes with the displacement over the k rounds, measured in
+// the agent's own clockwise direction modulo the full circle, in Resume.Sum.
 func (a *Agent) YieldRoundSum(dir ring.Direction, k int) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -176,9 +170,15 @@ func (a *Agent) YieldRoundSum(dir ring.Direction, k int) Yield {
 	return a.yield(batch{dir: a.objective(dir), k: k, sum: true})
 }
 
-// YieldRoundUntil is the yield form of RoundUntil.  Like the blocking form it
-// snapshots the agent's current displacement into the batch, so it must be
-// built at yield time, not ahead of it.
+// YieldRoundUntil is YieldRoundN with an early-stop condition: the batch ends
+// after the first round at which the agent's cumulative run displacement (the
+// value Displacement reports) equals target, even if fewer than k rounds have
+// executed; the trace covers exactly the executed rounds.  The executor solves
+// the stop in closed form, so the batch never overshoots the round at which
+// the equivalent per-round loop would have stopped.  When no round in the
+// batch reaches target, all k rounds execute.  The builder snapshots the
+// agent's current displacement into the batch, so it must be called at yield
+// time, not ahead of it.
 func (a *Agent) YieldRoundUntil(dir ring.Direction, target int64, k int) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -199,10 +199,14 @@ func (a *Agent) YieldRoundUntil(dir ring.Direction, target int64, k int) Yield {
 	})
 }
 
-// YieldSchedule is the yield form of RoundSchedule: a whole per-round
-// direction schedule (the agent's own frame) as one batch.  The schedule is
-// translated into an agent-owned scratch buffer, so the caller's slice is
-// never retained.
+// YieldSchedule requests a whole per-round direction schedule (the agent's
+// own frame) as one batch: the scheduler executes all len(dirs) rounds
+// without resuming the machine in between, leaping over the
+// constant-direction stretches, and the continuation resumes with the
+// per-round trace.  Schedules of different agents need not agree — the
+// executor splits the leap wherever batch lengths or directions require.  The
+// schedule is translated into an agent-owned scratch buffer, so the caller's
+// slice is never retained.
 func (a *Agent) YieldSchedule(dirs []ring.Direction) Yield {
 	if len(dirs) == 0 {
 		return Yield{abort: fmt.Errorf("engine: %w: empty schedule", ring.ErrBadRoundCount)}
@@ -221,9 +225,10 @@ func (a *Agent) YieldSchedule(dirs []ring.Direction) Yield {
 }
 
 // settle folds a completed batch into the agent's round and displacement
-// accounting — exactly what the blocking Round* methods do after awaitBatch
-// returns — and builds the Resume for the continuation.  executed and agg are
-// the dispatcher's results for the batch.
+// accounting and builds the Resume for the continuation.  executed and agg
+// are the executor's results for the batch: the rounds actually executed
+// (fewer than bt.k only when a stop condition ended it early) and its
+// cumulative objective displacement modulo the full circle.
 func (a *Agent) settle(bt *batch, executed int, agg int64) Resume {
 	if bt.sum {
 		own := agg
@@ -236,35 +241,4 @@ func (a *Agent) settle(bt *batch, executed int, agg int64) Resume {
 	}
 	a.resBuf = a.finishTrace(executed, a.resBuf)
 	return Resume{Obs: a.resBuf}
-}
-
-// RunMachine drives machine p to completion through the agent's blocking
-// dispatcher and returns its result.  This is how the yield-form protocols
-// execute on the v2 barrier and v1 legacy runtimes: the blocking protocol
-// entry points are RunMachine over the same machines the v3 scheduler steps,
-// so all three runtimes run literally the same protocol code.
-func RunMachine[T any](a *Agent, p *Proto[T]) (T, error) {
-	var in Resume
-	for {
-		y, done := p.Step(in)
-		if done {
-			return p.Result()
-		}
-		executed, agg, err := a.d.awaitBatch(a.idx, *y.b)
-		if err != nil {
-			in = Resume{Err: err}
-			continue
-		}
-		in = a.settle(y.b, executed, agg)
-	}
-}
-
-// RunStep runs a single CPS step function — a protocol fragment whose
-// continuation takes the fragment's result — to completion on the blocking
-// dispatcher.  It is the one-line adapter the blocking wrappers of
-// sub-protocols are built from.
-func RunStep[T any](a *Agent, step func(k func(T) (Yield, Cont)) (Yield, Cont)) (T, error) {
-	return RunMachine(a, NewProto(func(done func(T, error) (Yield, Cont)) (Yield, Cont) {
-		return step(func(v T) (Yield, Cont) { return done(v, nil) })
-	}))
 }

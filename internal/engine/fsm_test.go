@@ -3,129 +3,20 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"ringsym/internal/ring"
 )
 
-// The tests in this file pin the v3 scheduler runtime: machines built from
-// the same generated scripts as leap_test.go must produce byte-identical
-// traces, outputs, round counts and crossing counts on RunFSM, on the v2
-// barrier (both as blocking calls and as RunMachine over the same machines)
-// and on the v1 legacy runtime.
+// The tests in this file pin the scheduler: arena reuse, error surfaces,
+// budgets, panics, cancellation and run exclusivity.
 
-// scriptMachine is the machine form of batchedProtocol: the same generated
-// script executed through the yield builders, one yield per op.
-func scriptMachine(seed int64, ops int) func(a *Agent) *Proto[leapTrace] {
-	return func(a *Agent) *Proto[leapTrace] {
-		return NewProto(func(done func(leapTrace, error) (Yield, Cont)) (Yield, Cont) {
-			script := scriptFor(a.ID(), seed, a.Model(), a.FullCircle(), ops)
-			var tr leapTrace
-			var step func(i int) (Yield, Cont)
-			step = func(i int) (Yield, Cont) {
-				if i == len(script) {
-					tr.disp = a.Displacement()
-					tr.used = a.RoundsUsed()
-					return done(tr, nil)
-				}
-				op := script[i]
-				var y Yield
-				switch op.kind {
-				case 0:
-					y = a.YieldRound(op.dir)
-				case 1:
-					y = a.YieldRoundN(op.dir, op.k)
-				case 2:
-					y = a.YieldSchedule(op.dirs)
-				case 3:
-					y = a.YieldRoundSum(op.dir, op.k)
-				case 4:
-					y = a.YieldRoundUntil(op.dir, op.target, op.k)
-				}
-				return y, func(in Resume) (Yield, Cont) {
-					if op.kind == 3 {
-						tr.sums = append(tr.sums, in.Sum)
-					} else {
-						tr.obs = append(tr.obs, in.Obs...)
-					}
-					return step(i + 1)
-				}
-			}
-			return step(0)
-		})
-	}
-}
-
-// TestFSMSchedulerEquivalence is the randomized differential test of the v3
-// runtime: generated mixed-op scripts across all three models, both chirality
-// regimes and both parities, executed four ways — v3 scheduler, v2 barrier
-// (blocking calls), v2 barrier driving the machines via RunMachine, v1 legacy
-// — with byte-identical traces, equal round counts, equal v2/v3 crossing
-// counts and the v1 crossings-equal-rounds invariant.
+// TestFSMSchedulerEquivalence runs a second family of generated scripts
+// batched and expanded (see checkBatchedMatchesExpanded).
 func TestFSMSchedulerEquivalence(t *testing.T) {
-	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
-		for _, oddN := range []bool{false, true} {
-			for _, mixed := range []bool{false, true} {
-				name := fmt.Sprintf("%v/odd=%v/mixed=%v", model, oddN, mixed)
-				t.Run(name, func(t *testing.T) {
-					for trial := 0; trial < 8; trial++ {
-						seed := int64(1000*trial) + 4242
-						rng := rand.New(rand.NewSource(seed))
-						cfg := leapTestConfig(rng, model, oddN, mixed)
-						build := func() *Network {
-							nw, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return nw
-						}
-						const ops = 12
-
-						nwF, nwB, nwM, nwL := build(), build(), build(), build()
-						fsm, errF := RunFSM(nwF, scriptMachine(seed, ops))
-						barrier, errB := Run(nwB, batchedProtocol(seed, ops))
-						machined, errM := Run(nwM, func(a *Agent) (leapTrace, error) {
-							return RunMachine(a, scriptMachine(seed, ops)(a))
-						})
-						legacy, errL := RunLegacy(nwL, batchedProtocol(seed, ops))
-						if errF != nil || errB != nil || errM != nil || errL != nil {
-							t.Fatalf("trial %d: errors fsm=%v barrier=%v machined=%v legacy=%v",
-								trial, errF, errB, errM, errL)
-						}
-						if fsm.Rounds != barrier.Rounds || fsm.Rounds != machined.Rounds || fsm.Rounds != legacy.Rounds {
-							t.Fatalf("trial %d: rounds fsm=%d barrier=%d machined=%d legacy=%d",
-								trial, fsm.Rounds, barrier.Rounds, machined.Rounds, legacy.Rounds)
-						}
-						for i := range fsm.Outputs {
-							if !fsm.Outputs[i].equal(barrier.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: fsm != barrier\nfsm:     %+v\nbarrier: %+v",
-									trial, i, fsm.Outputs[i], barrier.Outputs[i])
-							}
-							if !fsm.Outputs[i].equal(machined.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: fsm != machine-on-barrier", trial, i)
-							}
-							if !fsm.Outputs[i].equal(legacy.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: fsm != legacy", trial, i)
-							}
-						}
-						// The scheduler and the barrier share the crossing
-						// executor, so their leap decomposition is identical;
-						// legacy dispatches per round by design.
-						if nwF.Crossings() != nwB.Crossings() || nwF.Crossings() != nwM.Crossings() {
-							t.Fatalf("trial %d: crossings fsm=%d barrier=%d machined=%d",
-								trial, nwF.Crossings(), nwB.Crossings(), nwM.Crossings())
-						}
-						if nwL.Crossings() != nwL.Rounds() {
-							t.Fatalf("trial %d: legacy crossings %d != rounds %d",
-								trial, nwL.Crossings(), nwL.Rounds())
-						}
-					}
-				})
-			}
-		}
-	}
+	checkBatchedMatchesExpanded(t, 4242)
 }
 
 // TestFSMBatchReuse pins the WithBatch path: sequential scenarios through one
@@ -145,8 +36,8 @@ func TestFSMBatchReuse(t *testing.T) {
 			return nw
 		}
 		const ops = 9
-		shared, errS := RunFSMContext(ctx, build(), scriptMachine(seed, ops))
-		pooled, errP := RunFSM(build(), scriptMachine(seed, ops))
+		shared, errS := RunFSMContext(ctx, build(), batchedMachine(seed, ops))
+		pooled, errP := RunFSM(build(), batchedMachine(seed, ops))
 		if errS != nil || errP != nil {
 			t.Fatalf("trial %d: errors shared=%v pooled=%v", trial, errS, errP)
 		}
@@ -159,8 +50,8 @@ func TestFSMBatchReuse(t *testing.T) {
 }
 
 // TestFSMValidationAborts pins the abort channel: invalid yield parameters
-// terminate the machine with the same error values the blocking API returns,
-// without consuming rounds.
+// terminate the machine with the builders' error values, without consuming
+// rounds.
 func TestFSMValidationAborts(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -179,8 +70,8 @@ func TestFSMValidationAborts(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = RunFSM(nw, func(a *Agent) *Proto[struct{}] {
-				return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
-					return tc.yield(a), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
+				return NewProto(func(done func(struct{}) (Yield, Cont)) (Yield, Cont) {
+					return tc.yield(a), func(Resume) (Yield, Cont) { return done(struct{}{}) }
 				})
 			})
 			if !errors.Is(err, tc.want) {
@@ -198,8 +89,8 @@ func TestFSMValidationAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RunFSM(nw, func(a *Agent) *Proto[struct{}] {
-		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
-			return a.YieldRoundUntil(ring.Clockwise, -2, 3), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
+		return NewProto(func(done func(struct{}) (Yield, Cont)) (Yield, Cont) {
+			return a.YieldRoundUntil(ring.Clockwise, -2, 3), func(Resume) (Yield, Cont) { return done(struct{}{}) }
 		})
 	}); err == nil {
 		t.Fatal("negative RoundUntil target accepted")
@@ -207,7 +98,7 @@ func TestFSMValidationAborts(t *testing.T) {
 }
 
 // TestFSMBudgetExhaustion pins ErrMaxRoundsExceed on the scheduler: the clamp
-// executes exactly the budgeted rounds, like the barrier.
+// executes exactly the budgeted rounds, as many as the per-round path would.
 func TestFSMBudgetExhaustion(t *testing.T) {
 	cfg := testConfig(ring.Basic, nil)
 	cfg.MaxRounds = 5
@@ -216,9 +107,9 @@ func TestFSMBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = RunFSM(nw, func(a *Agent) *Proto[struct{}] {
-		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
+		return NewProto(func(done func(struct{}) (Yield, Cont)) (Yield, Cont) {
 			return a.YieldRoundN(ring.Clockwise, 9), func(in Resume) (Yield, Cont) {
-				return done(struct{}{}, nil)
+				return done(struct{}{})
 			}
 		})
 	})
@@ -238,12 +129,12 @@ func TestFSMStepPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunFSM(nw, func(a *Agent) *Proto[int] {
-		return NewProto(func(done func(int, error) (Yield, Cont)) (Yield, Cont) {
+		return NewProto(func(done func(int) (Yield, Cont)) (Yield, Cont) {
 			return a.YieldRound(ring.Clockwise), func(in Resume) (Yield, Cont) {
 				if a.ID() == 1 {
 					panic("machine meltdown")
 				}
-				return done(a.RoundsUsed(), nil)
+				return done(a.RoundsUsed())
 			}
 		})
 	})
@@ -257,9 +148,10 @@ func TestFSMStepPanic(t *testing.T) {
 	}
 }
 
-// TestFSMCancellation pins cancellation granularity: a cancel between
-// crossings fails every still-pending machine with the context error within
-// one crossing.
+// TestFSMCancellation pins cancellation: a protocol that would run forever is
+// cut off by a cancel fired mid-run from inside a step, every still-pending
+// machine fails with the context error within one crossing, and the network
+// is not broken by the cancellation.
 func TestFSMCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -267,38 +159,199 @@ func TestFSMCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunFSMContext(ctx, nw, func(a *Agent) *Proto[struct{}] {
-		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
-			var loop func(in Resume) (Yield, Cont)
-			loop = func(in Resume) (Yield, Cont) {
-				if a.RoundsUsed() >= 3 && a.ID() == 1 {
-					cancel() // fires mid-run, from inside the scheduler goroutine
-				}
-				return a.YieldRound(ring.Clockwise), loop
+	const cancelAfter = 3
+	res, err := RunFSMContext(ctx, nw, func(a *Agent) *Proto[int] {
+		dir := func(i int) ring.Direction {
+			if i == cancelAfter && a.ID() == 1 {
+				cancel()
 			}
-			return loop(Resume{})
-		})
+			return ring.Clockwise
+		}
+		return perRound(a, math.MaxInt, dir, nil, a.RoundsUsed)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
+	// The cancel fires while the machines request round cancelAfter+1, and
+	// the scheduler checks ctx before executing it.
+	if res.Rounds != cancelAfter {
+		t.Fatalf("run consumed %d rounds, want %d", res.Rounds, cancelAfter)
+	}
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		return perRound(a, 1, constDir(ring.Clockwise), nil, a.RoundsUsed)
+	}); err != nil {
+		t.Fatalf("run after cancelled run failed: %v", err)
+	}
+}
 
-	// A context dead on arrival refuses to start at all.
-	pre, preCancel := context.WithCancel(context.Background())
-	preCancel()
-	nw2, err := New(testConfig(ring.Basic, nil))
+// TestRunContextPreCancelled verifies that an already-cancelled context
+// prevents the run from starting at all: no machine is built and no round
+// executes.
+func TestRunContextPreCancelled(t *testing.T) {
+	nw, err := New(testConfig(ring.Basic, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFSMContext(pre, nw2, func(a *Agent) *Proto[struct{}] {
-		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
-			return done(struct{}{}, nil)
-		})
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	built := false
+	_, err = RunFSMContext(ctx, nw, func(a *Agent) *Proto[struct{}] {
+		built = true
+		return perRound(a, 1, constDir(ring.Clockwise), nil, func() struct{} { return struct{}{} })
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if nw2.Rounds() != 0 {
-		t.Fatalf("pre-cancelled run executed %d rounds", nw2.Rounds())
+	if built {
+		t.Error("machine built despite pre-cancelled context")
+	}
+	if nw.Rounds() != 0 {
+		t.Errorf("rounds executed: %d", nw.Rounds())
+	}
+}
+
+// TestConcurrentRunRejected verifies run exclusivity: a second RunFSM (or a
+// Reset) on a network whose run is still in flight — here started from inside
+// a step of that run — fails with ErrRunInProgress instead of corrupting the
+// shared state, and the network is reusable once the first run finished.
+func TestConcurrentRunRejected(t *testing.T) {
+	nw, err := New(testConfig(ring.Basic, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nestedRun, nestedReset error
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		dir := func(int) ring.Direction {
+			if a.ID() == 7 {
+				_, nestedRun = RunFSM(nw, func(a *Agent) *Proto[int] {
+					return perRound(a, 0, nil, nil, a.RoundsUsed)
+				})
+				nestedReset = nw.Reset(testConfig(ring.Basic, nil))
+			}
+			return ring.Clockwise
+		}
+		return perRound(a, 1, dir, nil, a.RoundsUsed)
+	}); err != nil {
+		t.Fatalf("first run failed: %v", err)
+	}
+	if !errors.Is(nestedRun, ErrRunInProgress) {
+		t.Errorf("nested RunFSM: got %v, want ErrRunInProgress", nestedRun)
+	}
+	if !errors.Is(nestedReset, ErrRunInProgress) {
+		t.Errorf("Reset during a run: got %v, want ErrRunInProgress", nestedReset)
+	}
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		return perRound(a, 1, constDir(ring.Clockwise), nil, a.RoundsUsed)
+	}); err != nil {
+		t.Fatalf("run after the first finished failed: %v", err)
+	}
+}
+
+// TestRunErrorShapes pins the layout of a max-rounds failure: the run error
+// wraps ErrMaxRoundsExceed, the result still reports the executed rounds, and
+// every agent's output reflects the rounds it took part in.
+func TestRunErrorShapes(t *testing.T) {
+	cfg := testConfig(ring.Basic, nil)
+	cfg.MaxRounds = 2
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var used []int
+	res, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		used = append(used, 0)
+		i := len(used) - 1
+		return perRound(a, math.MaxInt, constDir(ring.Clockwise), func(int, Observation) { used[i] = a.RoundsUsed() }, a.RoundsUsed)
+	})
+	if !errors.Is(err, ErrMaxRoundsExceed) {
+		t.Fatalf("got %v", err)
+	}
+	if res.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", res.Rounds)
+	}
+	for i, u := range used {
+		if u != 2 {
+			t.Errorf("agent %d used %d rounds", i, u)
+		}
+	}
+}
+
+// TestExecutorPanicFailsRunInsteadOfDeadlocking injects a panic into the
+// crossing executor and verifies the run fails with a broken-network error
+// instead of unwinding the caller, and that the network stays broken.
+func TestExecutorPanicFailsRunInsteadOfDeadlocking(t *testing.T) {
+	fired := false
+	testHookExecuteRound = func() {
+		if !fired {
+			fired = true
+			panic("injected executor failure")
+		}
+	}
+	defer func() { testHookExecuteRound = nil }()
+
+	nw, err := New(testConfig(ring.Basic, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(a *Agent) *Proto[int] {
+		return perRound(a, 1, constDir(ring.Clockwise), nil, a.RoundsUsed)
+	}
+	if _, err := RunFSM(nw, one); !errors.Is(err, ErrNetworkBroken) {
+		t.Fatalf("got %v, want ErrNetworkBroken", err)
+	}
+	if _, err := RunFSM(nw, one); !errors.Is(err, ErrNetworkBroken) {
+		t.Fatalf("run on broken network: got %v, want ErrNetworkBroken", err)
+	}
+}
+
+// TestExactRoundBudgetSucceeds pins that a protocol terminating after
+// exactly MaxRounds single rounds succeeds: exhausting the budget is only an
+// error while agents still want another round.
+func TestExactRoundBudgetSucceeds(t *testing.T) {
+	cfg := testConfig(ring.Basic, nil)
+	cfg.MaxRounds = 3
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		return perRound(a, 3, constDir(ring.Clockwise), nil, a.RoundsUsed)
+	})
+	if err != nil {
+		t.Fatalf("exact-budget run failed: %v", err)
+	}
+	if res.Rounds != 3 {
+		t.Fatalf("rounds = %d, want 3", res.Rounds)
+	}
+}
+
+// TestManyAgentsSmoke runs a larger population with mixed early exits.
+func TestManyAgentsSmoke(t *testing.T) {
+	const n = 257
+	positions := make([]int64, n)
+	ids := make([]int, n)
+	for i := range positions {
+		positions[i] = int64(4 * i)
+		ids[i] = i + 1
+	}
+	nw, err := New(Config{Model: ring.Perceptive, Circ: 4 * n * 2, Positions: positions, IDs: ids, IDBound: 2 * n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunFSM(nw, func(a *Agent) *Proto[int64] {
+		dir := func(i int) ring.Direction {
+			if (a.ID()+i)%3 == 0 {
+				return ring.Anticlockwise
+			}
+			return ring.Clockwise
+		}
+		return perRound(a, 1+a.ID()%7, dir, nil, a.Displacement)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 7 {
+		t.Fatalf("rounds = %d, want 7", res.Rounds)
 	}
 }
 
@@ -336,30 +389,6 @@ func TestFSMMalformedYield(t *testing.T) {
 	for i, err := range b.stepErr {
 		if err == nil {
 			t.Errorf("machine %d: malformed yield accepted", i)
-		}
-	}
-}
-
-// TestRuntimeResolve pins the default-runtime plumbing.
-func TestRuntimeResolve(t *testing.T) {
-	defer SetDefaultRuntime(RuntimeDefault)
-	if got := RuntimeDefault.Resolve(); got != RuntimeFSM {
-		t.Fatalf("built-in default resolved to %v, want fsm", got)
-	}
-	SetDefaultRuntime(RuntimeBarrier)
-	if got := RuntimeDefault.Resolve(); got != RuntimeBarrier {
-		t.Fatalf("overridden default resolved to %v, want barrier", got)
-	}
-	if got := RuntimeLegacy.Resolve(); got != RuntimeLegacy {
-		t.Fatalf("explicit runtime resolved to %v, want legacy", got)
-	}
-	SetDefaultRuntime(RuntimeDefault)
-	if got := RuntimeDefault.Resolve(); got != RuntimeFSM {
-		t.Fatalf("restored default resolved to %v, want fsm", got)
-	}
-	for rt, want := range map[Runtime]string{RuntimeDefault: "default", RuntimeFSM: "fsm", RuntimeBarrier: "barrier", RuntimeLegacy: "legacy"} {
-		if rt.String() != want {
-			t.Errorf("Runtime(%d).String() = %q, want %q", rt, rt.String(), want)
 		}
 	}
 }

@@ -9,16 +9,16 @@ import (
 	"ringsym/internal/ring"
 )
 
-// The tests in this file pin the leap-execution contract: a protocol written
-// against the batched submission API (RoundN, RoundNSum, RoundUntil,
-// RoundSchedule) is observably identical — trace, displacement, round counts,
-// outputs — to the same protocol written with single Round calls, across all
-// three models, both chirality regimes and both parities, and identical
-// between the v2 leap barrier and the v1 per-round legacy runtime.
+// The tests in this file pin the leap-execution contract: a machine written
+// against the batching yield builders (YieldRoundN, YieldRoundSum,
+// YieldRoundUntil, YieldSchedule) is observably identical — trace,
+// displacement, round counts, outputs — to the same machine written with one
+// YieldRound per round, across all three models, both chirality regimes and
+// both parities.
 
 // leapOp is one step of a generated protocol script.
 type leapOp struct {
-	kind   int // 0 Round, 1 RoundN, 2 RoundSchedule, 3 RoundNSum, 4 RoundUntil
+	kind   int // 0 YieldRound, 1 YieldRoundN, 2 YieldSchedule, 3 YieldRoundSum, 4 YieldRoundUntil
 	dir    ring.Direction
 	dirs   []ring.Direction
 	k      int
@@ -87,96 +87,145 @@ func (tr leapTrace) equal(other leapTrace) bool {
 	return true
 }
 
-// batchedProtocol executes the script through the batched API.
-func batchedProtocol(seed int64, ops int) func(a *Agent) (leapTrace, error) {
-	return func(a *Agent) (leapTrace, error) {
-		var tr leapTrace
-		var buf []Observation
-		for _, op := range scriptFor(a.ID(), seed, a.Model(), a.FullCircle(), ops) {
-			var err error
-			switch op.kind {
-			case 0:
-				var obs Observation
-				obs, err = a.Round(op.dir)
-				buf = append(buf[:0], obs)
-			case 1:
-				buf, err = a.RoundNInto(op.dir, op.k, buf[:0])
-			case 2:
-				buf, err = a.RoundSchedule(op.dirs, buf[:0])
-			case 3:
-				var sum int64
-				sum, err = a.RoundNSum(op.dir, op.k)
-				tr.sums = append(tr.sums, sum)
-				buf = buf[:0]
-			case 4:
-				buf, err = a.RoundUntil(op.dir, op.target, op.k, buf[:0])
+// batchedMachine executes the script through the batching yield builders,
+// one yield per op.
+func batchedMachine(seed int64, ops int) func(a *Agent) *Proto[leapTrace] {
+	return func(a *Agent) *Proto[leapTrace] {
+		return NewProto(func(done func(leapTrace) (Yield, Cont)) (Yield, Cont) {
+			script := scriptFor(a.ID(), seed, a.Model(), a.FullCircle(), ops)
+			var tr leapTrace
+			var step func(i int) (Yield, Cont)
+			step = func(i int) (Yield, Cont) {
+				if i == len(script) {
+					tr.disp = a.Displacement()
+					tr.used = a.RoundsUsed()
+					return done(tr)
+				}
+				op := script[i]
+				var y Yield
+				switch op.kind {
+				case 0:
+					y = a.YieldRound(op.dir)
+				case 1:
+					y = a.YieldRoundN(op.dir, op.k)
+				case 2:
+					y = a.YieldSchedule(op.dirs)
+				case 3:
+					y = a.YieldRoundSum(op.dir, op.k)
+				case 4:
+					y = a.YieldRoundUntil(op.dir, op.target, op.k)
+				}
+				return y, func(in Resume) (Yield, Cont) {
+					if op.kind == 3 {
+						tr.sums = append(tr.sums, in.Sum)
+					} else {
+						tr.obs = append(tr.obs, in.Obs...)
+					}
+					return step(i + 1)
+				}
 			}
-			if err != nil {
-				return tr, err
-			}
-			tr.obs = append(tr.obs, buf...)
-		}
-		tr.disp = a.Displacement()
-		tr.used = a.RoundsUsed()
-		return tr, nil
+			return step(0)
+		})
 	}
 }
 
-// expandedProtocol executes the same script with single Round calls only.
-func expandedProtocol(seed int64, ops int) func(a *Agent) (leapTrace, error) {
-	return func(a *Agent) (leapTrace, error) {
-		var tr leapTrace
-		full := a.FullCircle()
-		for _, op := range scriptFor(a.ID(), seed, a.Model(), full, ops) {
-			switch op.kind {
-			case 0:
-				obs, err := a.Round(op.dir)
-				if err != nil {
-					return tr, err
+// expandedMachine executes the same script with one YieldRound per round:
+// every op is unrolled into its per-round directions, RoundNSum sums the
+// single observations and RoundUntil stops on the agent's own displacement,
+// so every round is its own crossing on the per-round kernel path.
+func expandedMachine(seed int64, ops int) func(a *Agent) *Proto[leapTrace] {
+	return func(a *Agent) *Proto[leapTrace] {
+		return NewProto(func(done func(leapTrace) (Yield, Cont)) (Yield, Cont) {
+			full := a.FullCircle()
+			script := scriptFor(a.ID(), seed, a.Model(), full, ops)
+			var tr leapTrace
+			var sum int64
+			// round plays round j of op i.
+			var round func(i, j int) (Yield, Cont)
+			round = func(i, j int) (Yield, Cont) {
+				if i == len(script) {
+					tr.disp = a.Displacement()
+					tr.used = a.RoundsUsed()
+					return done(tr)
 				}
-				tr.obs = append(tr.obs, obs)
-			case 1:
-				for j := 0; j < op.k; j++ {
-					obs, err := a.Round(op.dir)
-					if err != nil {
-						return tr, err
+				op := script[i]
+				n, dir := op.k, op.dir
+				if op.kind == 0 {
+					n = 1
+				}
+				if op.kind == 2 {
+					n, dir = len(op.dirs), op.dirs[min(j, len(op.dirs)-1)]
+				}
+				if j == n {
+					if op.kind == 3 {
+						tr.sums = append(tr.sums, sum)
+						sum = 0
+					}
+					return round(i+1, 0)
+				}
+				return a.YieldRound(dir), func(in Resume) (Yield, Cont) {
+					obs := in.Obs[0]
+					if op.kind == 3 {
+						sum = (sum + obs.Dist) % full
+						return round(i, j+1)
 					}
 					tr.obs = append(tr.obs, obs)
-				}
-			case 2:
-				for _, d := range op.dirs {
-					obs, err := a.Round(d)
-					if err != nil {
-						return tr, err
+					if op.kind == 4 && a.Displacement() == op.target {
+						return round(i, n)
 					}
-					tr.obs = append(tr.obs, obs)
-				}
-			case 3:
-				var sum int64
-				for j := 0; j < op.k; j++ {
-					obs, err := a.Round(op.dir)
-					if err != nil {
-						return tr, err
-					}
-					sum = (sum + obs.Dist) % full
-				}
-				tr.sums = append(tr.sums, sum)
-			case 4:
-				for j := 0; j < op.k; j++ {
-					obs, err := a.Round(op.dir)
-					if err != nil {
-						return tr, err
-					}
-					tr.obs = append(tr.obs, obs)
-					if a.Displacement() == op.target {
-						break
-					}
+					return round(i, j+1)
 				}
 			}
+			return round(0, 0)
+		})
+	}
+}
+
+// checkBatchedMatchesExpanded runs generated scripts batched and expanded on
+// the scheduler, across all three models, both chirality regimes and both
+// parities, and demands byte-identical traces, displacements and round
+// counts, with exactly one crossing per round on the expanded run.  It keeps
+// the leap executor's closed form checked against the per-round kernel path.
+func checkBatchedMatchesExpanded(t *testing.T, seedBase int64) {
+	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
+		for _, oddN := range []bool{false, true} {
+			for _, mixed := range []bool{false, true} {
+				name := fmt.Sprintf("%v/odd=%v/mixed=%v", model, oddN, mixed)
+				t.Run(name, func(t *testing.T) {
+					for trial := 0; trial < 8; trial++ {
+						seed := int64(1000*trial) + seedBase
+						rng := rand.New(rand.NewSource(seed))
+						cfg := leapTestConfig(rng, model, oddN, mixed)
+						build := func() *Network {
+							nw, err := New(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return nw
+						}
+						const ops = 12
+						nwB, nwE := build(), build()
+						batched, errB := RunFSM(nwB, batchedMachine(seed, ops))
+						expanded, errE := RunFSM(nwE, expandedMachine(seed, ops))
+						if errB != nil || errE != nil {
+							t.Fatalf("trial %d: errors batched=%v expanded=%v", trial, errB, errE)
+						}
+						if batched.Rounds != expanded.Rounds {
+							t.Fatalf("trial %d: rounds batched=%d expanded=%d", trial, batched.Rounds, expanded.Rounds)
+						}
+						for i := range batched.Outputs {
+							if !batched.Outputs[i].equal(expanded.Outputs[i]) {
+								t.Fatalf("trial %d agent %d: batched != expanded\nbatched:  %+v\nexpanded: %+v",
+									trial, i, batched.Outputs[i], expanded.Outputs[i])
+							}
+						}
+						if nwE.Crossings() != nwE.Rounds() {
+							t.Fatalf("trial %d: expanded crossings %d != rounds %d", trial, nwE.Crossings(), nwE.Rounds())
+						}
+					}
+				})
+			}
 		}
-		tr.disp = a.Displacement()
-		tr.used = a.RoundsUsed()
-		return tr, nil
 	}
 }
 
@@ -219,55 +268,13 @@ func leapTestConfig(rng *rand.Rand, model ring.Model, oddN, mixed bool) Config {
 
 // TestLeapStepEquivalence is the randomized property test of leap execution:
 // mixed RoundN/RoundSchedule/RoundNSum/RoundUntil/Round scripts produce
-// byte-identical traces and outputs to the all-single-round expansion, across
-// all three models, both chirality regimes and both parities, on both the v2
-// leap barrier and (batched) on the v1 legacy runtime.
+// byte-identical traces and outputs to their all-single-round expansion.
 func TestLeapStepEquivalence(t *testing.T) {
-	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
-		for _, oddN := range []bool{false, true} {
-			for _, mixed := range []bool{false, true} {
-				name := fmt.Sprintf("%v/odd=%v/mixed=%v", model, oddN, mixed)
-				t.Run(name, func(t *testing.T) {
-					for trial := 0; trial < 8; trial++ {
-						seed := int64(1000*trial) + 17
-						rng := rand.New(rand.NewSource(seed))
-						cfg := leapTestConfig(rng, model, oddN, mixed)
-						build := func() *Network {
-							nw, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return nw
-						}
-						const ops = 12
-						batched, errB := Run(build(), batchedProtocol(seed, ops))
-						expanded, errE := Run(build(), expandedProtocol(seed, ops))
-						legacy, errL := RunLegacy(build(), batchedProtocol(seed, ops))
-						if errB != nil || errE != nil || errL != nil {
-							t.Fatalf("trial %d: errors batched=%v expanded=%v legacy=%v", trial, errB, errE, errL)
-						}
-						if batched.Rounds != expanded.Rounds || batched.Rounds != legacy.Rounds {
-							t.Fatalf("trial %d: rounds batched=%d expanded=%d legacy=%d",
-								trial, batched.Rounds, expanded.Rounds, legacy.Rounds)
-						}
-						for i := range batched.Outputs {
-							if !batched.Outputs[i].equal(expanded.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: batched != expanded\nbatched:  %+v\nexpanded: %+v",
-									trial, i, batched.Outputs[i], expanded.Outputs[i])
-							}
-							if !batched.Outputs[i].equal(legacy.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: v2 != legacy", trial, i)
-							}
-						}
-					}
-				})
-			}
-		}
-	}
+	checkBatchedMatchesExpanded(t, 17)
 }
 
 // TestRoundUntilStopsExactly pins the closed-form stop: a constant-rotation
-// sweep submitted as one oversized RoundUntil batch stops exactly at the
+// sweep submitted as one oversized YieldRoundUntil batch stops exactly at the
 // round the per-round loop would have, with the trace ending at the return
 // round.
 func TestRoundUntilStopsExactly(t *testing.T) {
@@ -277,22 +284,23 @@ func TestRoundUntilStopsExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := nw.N()
-	res, err := Run(nw, func(a *Agent) (int, error) {
-		// Rotation index 1: ID 1 moves clockwise, everybody else
-		// anticlockwise... that is rotation 1-4 = -3 mod 5 = 2; either way the
-		// sweep returns to the start after exactly n rounds (gcd(r, n) = 1).
-		dir := ring.Anticlockwise
-		if a.ID() == 1 {
-			dir = ring.Clockwise
-		}
-		trace, err := a.RoundUntil(dir, 0, 10*n, nil)
-		if err != nil {
-			return 0, err
-		}
-		if a.Displacement() != 0 {
-			return 0, fmt.Errorf("stopped at displacement %d", a.Displacement())
-		}
-		return len(trace), nil
+	res, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		return NewProto(func(done func(int) (Yield, Cont)) (Yield, Cont) {
+			// Rotation index 1: ID 1 moves clockwise, everybody else
+			// anticlockwise... that is rotation 1-4 = -3 mod 5 = 2; either way
+			// the sweep returns to the start after exactly n rounds
+			// (gcd(r, n) = 1).
+			dir := ring.Anticlockwise
+			if a.ID() == 1 {
+				dir = ring.Clockwise
+			}
+			return a.YieldRoundUntil(dir, 0, 10*n), func(in Resume) (Yield, Cont) {
+				if a.Displacement() != 0 {
+					return Abort(fmt.Errorf("stopped at displacement %d", a.Displacement()))
+				}
+				return done(len(in.Obs))
+			}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,10 +315,9 @@ func TestRoundUntilStopsExactly(t *testing.T) {
 	}
 }
 
-// TestRoundNBudgetClamp pins MaxRounds semantics under batching: a batch that
-// overruns the budget consumes exactly the budgeted rounds (identical state
-// round count to the per-round path) and fails with ErrMaxRoundsExceed, and
-// a batch fitting the budget exactly succeeds.
+// TestRoundNBudgetClamp pins the exact-fit side of MaxRounds under batching:
+// a batch that ends exactly on the budget succeeds.  The overrun side (the
+// clamp to the budget and ErrMaxRoundsExceed) is TestFSMBudgetExhaustion.
 func TestRoundNBudgetClamp(t *testing.T) {
 	cfg := testConfig(ring.Basic, nil)
 	cfg.MaxRounds = 5
@@ -318,61 +325,51 @@ func TestRoundNBudgetClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nw, func(a *Agent) (struct{}, error) {
-		_, err := a.RoundN(ring.Clockwise, 9)
-		return struct{}{}, err
-	})
-	if !errors.Is(err, ErrMaxRoundsExceed) {
-		t.Fatalf("got %v, want ErrMaxRoundsExceed", err)
-	}
-	if nw.Rounds() != 5 {
-		t.Fatalf("state executed %d rounds, want the full budget of 5", nw.Rounds())
-	}
-
-	cfg2 := testConfig(ring.Basic, nil)
-	cfg2.MaxRounds = 5
-	nw2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(nw2, func(a *Agent) (struct{}, error) {
-		_, err := a.RoundN(ring.Clockwise, 5)
-		return struct{}{}, err
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+		return NewProto(func(done func(struct{}) (Yield, Cont)) (Yield, Cont) {
+			return a.YieldRoundN(ring.Clockwise, 5), func(Resume) (Yield, Cont) { return done(struct{}{}) }
+		})
 	}); err != nil {
 		t.Fatalf("exact-budget batch failed: %v", err)
 	}
+	if nw.Rounds() != 5 {
+		t.Fatalf("state executed %d rounds, want 5", nw.Rounds())
+	}
 }
 
-// TestBatchValidation pins the argument checks of the batched API.
+// TestBatchValidation pins the argument checks of the yield builders: every
+// invalid request yields an abort carrying the right error and leaves the
+// agent's round count untouched.
 func TestBatchValidation(t *testing.T) {
 	nw, err := New(testConfig(ring.Basic, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nw, func(a *Agent) (struct{}, error) {
-		if _, err := a.RoundN(ring.Clockwise, 0); err == nil {
-			return struct{}{}, errors.New("k = 0 accepted")
+	a := nw.agents[0]
+	for _, tc := range []struct {
+		name string
+		y    Yield
+		want error
+	}{
+		{"k = 0", a.YieldRoundN(ring.Clockwise, 0), ring.ErrBadRoundCount},
+		{"idle in basic model", a.YieldRoundN(ring.Idle, 2), ErrIdleNotAllowed},
+		{"bad direction", a.YieldRound(ring.Direction(55)), ErrBadDirection},
+		{"empty schedule", a.YieldSchedule(nil), ring.ErrBadRoundCount},
+		{"idle in schedule", a.YieldSchedule([]ring.Direction{ring.Clockwise, ring.Idle}), ErrIdleNotAllowed},
+		{"negative k sum", a.YieldRoundSum(ring.Clockwise, -1), ring.ErrBadRoundCount},
+		{"zero k until", a.YieldRoundUntil(ring.Clockwise, 0, 0), ring.ErrBadRoundCount},
+	} {
+		if !errors.Is(tc.y.abort, tc.want) {
+			t.Errorf("%s: abort %v, want %v", tc.name, tc.y.abort, tc.want)
 		}
-		if _, err := a.RoundN(ring.Idle, 2); !errors.Is(err, ErrIdleNotAllowed) {
-			return struct{}{}, fmt.Errorf("idle in basic model: %v", err)
+	}
+	for _, target := range []int64{-2, a.FullCircle()} {
+		if y := a.YieldRoundUntil(ring.Clockwise, target, 3); y.abort == nil {
+			t.Errorf("RoundUntil target %d accepted", target)
 		}
-		if _, err := a.RoundSchedule(nil, nil); err == nil {
-			return struct{}{}, errors.New("empty schedule accepted")
-		}
-		if _, err := a.RoundUntil(ring.Clockwise, -2, 3, nil); err == nil {
-			return struct{}{}, errors.New("negative target accepted")
-		}
-		if _, err := a.RoundNSum(ring.Clockwise, -1); err == nil {
-			return struct{}{}, errors.New("negative k accepted")
-		}
-		// The failed validations must not have consumed rounds.
-		if a.RoundsUsed() != 0 {
-			return struct{}{}, fmt.Errorf("validation consumed %d rounds", a.RoundsUsed())
-		}
-		_, err := a.Round(ring.Clockwise)
-		return struct{}{}, err
-	}); err != nil {
-		t.Fatal(err)
+	}
+	if a.RoundsUsed() != 0 || nw.Rounds() != 0 {
+		t.Fatalf("validation consumed rounds: agent %d, network %d", a.RoundsUsed(), nw.Rounds())
 	}
 }
 
@@ -385,9 +382,10 @@ func TestLeapCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 64
-	if _, err := Run(nw, func(a *Agent) (struct{}, error) {
-		_, err := a.RoundNSum(ring.Clockwise, k)
-		return struct{}{}, err
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+		return NewProto(func(done func(struct{}) (Yield, Cont)) (Yield, Cont) {
+			return a.YieldRoundSum(ring.Clockwise, k), func(Resume) (Yield, Cont) { return done(struct{}{}) }
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,42 +9,37 @@ import (
 	"ringsym/internal/ring"
 )
 
-// EngineSweepProtocol is the agent protocol of the constant-direction sweep
-// workload shared by the engine throughput benchmarks (BenchmarkEngineLeap /
-// BenchmarkEngineLeapSingle in the repository root) and the benchtables
-// -engine mode: each agent keeps a direction fixed by the parity of its
-// identifier (both directions present) for the given number of rounds.
-// batch = 1 submits one round per barrier crossing — the per-round path —
-// and larger batches use leap execution via RoundN.  Keeping the single copy
-// here is what entitles EXPERIMENTS.md to claim the benchmark pair and the
-// BENCH_engine.json table measure the same workload.
-func EngineSweepProtocol(rounds, batch int) func(a *engine.Agent) (int, error) {
-	return func(a *engine.Agent) (int, error) {
+// EngineSweepProtocol builds the agent machine of the constant-direction
+// sweep workload shared by the engine throughput benchmarks
+// (BenchmarkEngineLeap / BenchmarkEngineLeapSingle in the repository root)
+// and the benchtables -engine mode: each agent keeps a direction fixed by the
+// parity of its identifier (both directions present) for the given number of
+// rounds, in YieldRoundN batches of the given size.  batch = 1 submits one
+// round per crossing — the per-round path — and larger batches use leap
+// execution.  Keeping the single copy here is what entitles EXPERIMENTS.md to
+// claim the benchmark pair and the BENCH_engine.json table measure the same
+// workload.
+func EngineSweepProtocol(rounds, batch int) func(a *engine.Agent) *engine.Proto[int] {
+	return func(a *engine.Agent) *engine.Proto[int] {
 		dir := ring.Clockwise
 		if a.ID()%2 == 0 {
 			dir = ring.Anticlockwise
 		}
-		if batch == 1 {
-			for i := 0; i < rounds; i++ {
-				if _, err := a.Round(dir); err != nil {
-					return 0, err
+		return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			traceLen := 0
+			var loop func(dr int) (engine.Yield, engine.Cont)
+			loop = func(dr int) (engine.Yield, engine.Cont) {
+				if dr >= rounds {
+					return done(traceLen)
+				}
+				k := min(batch, rounds-dr)
+				return a.YieldRoundN(dir, k), func(in engine.Resume) (engine.Yield, engine.Cont) {
+					traceLen = len(in.Obs)
+					return loop(dr + k)
 				}
 			}
-			return 0, nil
-		}
-		var trace []engine.Observation
-		for done := 0; done < rounds; done += batch {
-			k := batch
-			if rounds-done < k {
-				k = rounds - done
-			}
-			var err error
-			trace, err = a.RoundNInto(dir, k, trace[:0])
-			if err != nil {
-				return 0, err
-			}
-		}
-		return len(trace), nil
+			return loop(0)
+		})
 	}
 }
 
@@ -65,7 +60,7 @@ func MeasureEngineSweep(n int, seed int64, rounds, batch int) (float64, error) {
 	}
 	//ringvet:allow determinism this is the benchmark path: rounds/sec is a wall-clock measurement by definition
 	start := time.Now()
-	if _, err := engine.Run(nw, EngineSweepProtocol(rounds, batch)); err != nil {
+	if _, err := engine.RunFSM(nw, EngineSweepProtocol(rounds, batch)); err != nil {
 		return 0, err
 	}
 	//ringvet:allow determinism this is the benchmark path: rounds/sec is a wall-clock measurement by definition

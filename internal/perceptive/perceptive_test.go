@@ -11,6 +11,19 @@ import (
 	"ringsym/internal/ring"
 )
 
+type (
+	yield = engine.Yield
+	cont  = engine.Cont
+)
+
+// run runs a step-form protocol on every agent of nw on the engine's
+// scheduler.
+func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (yield, cont)) (yield, cont)) (*engine.Result[T], error) {
+	return engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[T] {
+		return engine.NewProto(func(k func(T) (yield, cont)) (yield, cont) { return step(a, k) })
+	})
+}
+
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
 	t.Helper()
 	opt.Model = ring.Perceptive
@@ -45,9 +58,8 @@ func TestNMoveSRequiresPerceptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		_, err := NMoveS(core.NewFrame(a), 1)
-		return struct{}{}, err
+	_, err = run(nw, func(a *engine.Agent, k func(ring.Direction) (yield, cont)) (yield, cont) {
+		return NMoveSStep(core.NewFrame(a), 1, k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
 		t.Fatalf("got %v, want ErrNeedPerceptive", err)
@@ -67,10 +79,9 @@ func TestNMoveS(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+			res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
 				f := core.NewFrame(a)
-				dir, err := NMoveS(f, 7)
-				return out{dir, f.Flipped()}, err
+				return NMoveSStep(f, 7, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.Flipped()}) })
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -97,12 +108,10 @@ func TestCoordinate(t *testing.T) {
 			leader  bool
 			flipped bool
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-			c, err := Coordinate(a, Options{Seed: 5})
-			if err != nil {
-				return out{}, err
-			}
-			return out{c.IsLeader, c.Frame.Flipped()}, nil
+		res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
+			return CoordinateStep(a, Options{Seed: 5}, func(c *core.Coordination) (yield, cont) {
+				return k(out{c.IsLeader, c.Frame.Flipped()})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -140,24 +149,16 @@ func TestRingDistLabels(t *testing.T) {
 			size    int
 			flipped bool
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-			c, err := Coordinate(a, Options{Seed: 9})
-			if err != nil {
-				return out{}, err
-			}
-			link, err := rcomm.Establish(c.Frame)
-			if err != nil {
-				return out{}, err
-			}
-			label, isLast, err := RingDist(link, c.IsLeader)
-			if err != nil {
-				return out{}, err
-			}
-			size, err := BroadcastSize(c.Frame, isLast, label)
-			if err != nil {
-				return out{}, err
-			}
-			return out{c.IsLeader, label, size, c.Frame.Flipped()}, nil
+		res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
+			return CoordinateStep(a, Options{Seed: 9}, func(c *core.Coordination) (yield, cont) {
+				return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (yield, cont) {
+					return RingDistStep(link, c.IsLeader, func(label int, isLast bool) (yield, cont) {
+						return BroadcastSizeStep(c.Frame, isLast, label, func(size int) (yield, cont) {
+							return k(out{c.IsLeader, label, size, c.Frame.Flipped()})
+						})
+					})
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -198,16 +199,8 @@ func TestLocationDiscovery(t *testing.T) {
 			nw := newNetwork(t, netgen.Options{
 				N: n, IDBound: 128, Seed: seed*31 + int64(n), MixedChirality: true, ForceSplitChirality: true,
 			})
-			type out struct {
-				res     *DiscoveryResult
-				flipped bool
-			}
-			run, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-				r, err := LocationDiscovery(a, Options{Seed: 3})
-				if err != nil {
-					return out{}, err
-				}
-				return out{res: r}, nil
+			got, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[*DiscoveryResult] {
+				return LocationDiscoveryMachine(a, Options{Seed: 3})
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -215,8 +208,7 @@ func TestLocationDiscovery(t *testing.T) {
 			pos := nw.InitialPositions()
 			circ := nw.Circ()
 			leaders := 0
-			for i, o := range run.Outputs {
-				r := o.res
+			for i, r := range got.Outputs {
 				if r.IsLeader {
 					leaders++
 				}
@@ -261,9 +253,8 @@ func TestLocationDiscovery(t *testing.T) {
 
 func TestDistancesValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 2})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		_, _, err := Distances(core.NewFrame(a), 0, 6)
-		return struct{}{}, err
+	_, err := run(nw, func(a *engine.Agent, k func(struct{}) (yield, cont)) (yield, cont) {
+		return DistancesStep(core.NewFrame(a), 0, 6, func([]int64, int) (yield, cont) { return k(struct{}{}) })
 	})
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("got %v, want ErrProtocol", err)

@@ -31,28 +31,20 @@ type DiscoveryResult struct {
 	RoundsDistances    int
 }
 
-// LocationDiscovery implements Theorem 42: location discovery in the
+// LocationDiscoveryMachine builds the full location-discovery pipeline
+// (LocationDiscoveryStep) as a resumable machine for the engine's scheduler.
+func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*DiscoveryResult] {
+	return engine.NewProto(func(done func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return LocationDiscoveryStep(a, opts, done)
+	})
+}
+
+// LocationDiscoveryStep implements Theorem 42: location discovery in the
 // perceptive model in n/2 + O(√n·log²N) rounds for even n (the paper's
 // setting; odd n is handled by the lazy-model style sweep in
 // internal/discovery).  The pipeline is: NMoveS → direction agreement →
 // leader election → neighbour re-discovery in the agreed frame → RingDist →
 // size broadcast → Distances → per-agent solution of the arc equations.
-func LocationDiscovery(a *engine.Agent, opts Options) (*DiscoveryResult, error) {
-	return engine.RunMachine(a, LocationDiscoveryMachine(a, opts))
-}
-
-// LocationDiscoveryMachine builds the full location-discovery pipeline as a
-// resumable machine for the engine's v3 scheduler; LocationDiscovery drives
-// the same machine through the blocking dispatcher on the v1/v2 runtimes.
-func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*DiscoveryResult] {
-	return engine.NewProto(func(done func(*DiscoveryResult, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return LocationDiscoveryStep(a, opts, func(r *DiscoveryResult) (engine.Yield, engine.Cont) {
-			return done(r, nil)
-		})
-	})
-}
-
-// LocationDiscoveryStep is the machine form of LocationDiscovery.
 func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return CoordinateStep(a, opts, func(coord *core.Coordination) (engine.Yield, engine.Cont) {
 		f := coord.Frame

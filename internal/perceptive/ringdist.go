@@ -10,13 +10,7 @@ import (
 	"ringsym/internal/ring"
 )
 
-// ringDistResult carries RingDist's result through the blocking wrapper.
-type ringDistResult struct {
-	label  int
-	isLast bool
-}
-
-// RingDist implements Algorithm 5: every agent learns its label, i.e. its
+// RingDistStep implements Algorithm 5: every agent learns its label, i.e. its
 // clockwise ring distance from the elected leader plus one (the leader has
 // label 1, its clockwise neighbour label 2, ..., its anticlockwise neighbour
 // label n).
@@ -36,18 +30,8 @@ type ringDistResult struct {
 // agent from the initial announcement) reports, through a rotation-signalling
 // round, that it has learned its label.
 //
-// The returned values are the agent's label and whether it is the last agent
-// (label n).  Cost: O(√n·log N) rounds.
-func RingDist(link *rcomm.Link, isLeader bool) (label int, isLast bool, err error) {
-	r, err := engine.RunStep(link.Frame().Agent(), func(k func(ringDistResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return RingDistStep(link, isLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
-			return k(ringDistResult{label: label, isLast: isLast})
-		})
-	})
-	return r.label, r.isLast, err
-}
-
-// RingDistStep is the machine form of RingDist.
+// k receives the agent's label and whether it is the last agent (label
+// n).  Cost: O(√n·log N) rounds.
 func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := link.Frame()
 	if !f.Agent().Model().RevealsCollision() {
@@ -178,17 +162,10 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 	})
 }
 
-// BroadcastSize makes the last agent (label n, the leader's anticlockwise
+// BroadcastSizeStep makes the last agent (label n, the leader's anticlockwise
 // neighbour) announce the network size n to every agent over the
 // rotation-signalling channel, one bit per paired round, so the configuration
-// is preserved.  Every agent returns n.  Cost: 2·⌈log2 N⌉ rounds.
-func BroadcastSize(f *core.Frame, isLast bool, ownLabel int) (int, error) {
-	return engine.RunStep(f.Agent(), func(k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return BroadcastSizeStep(f, isLast, ownLabel, k)
-	})
-}
-
-// BroadcastSizeStep is the machine form of BroadcastSize.
+// is preserved.  Every agent's k receives n.  Cost: 2·⌈log2 N⌉ rounds.
 func BroadcastSizeStep(f *core.Frame, isLast bool, ownLabel int, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	bits := comb.Bits(f.IDBound())
 	value := uint64(0)

@@ -10,6 +10,51 @@ import (
 	"ringsym/internal/ring"
 )
 
+type (
+	yield = engine.Yield
+	cont  = engine.Cont
+)
+
+// run runs a step-form protocol on every agent of nw on the engine's
+// scheduler.
+func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (yield, cont)) (yield, cont)) (*engine.Result[T], error) {
+	return engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[T] {
+		return engine.NewProto(func(k func(T) (yield, cont)) (yield, cont) { return step(a, k) })
+	})
+}
+
+// runLinked is run with a Link established by neighbour discovery first.
+func runLinked[T any](nw *engine.Network, step func(a *engine.Agent, link *Link, k func(T) (yield, cont)) (yield, cont)) (*engine.Result[T], error) {
+	return run(nw, func(a *engine.Agent, k func(T) (yield, cont)) (yield, cont) {
+		return EstablishStep(core.NewFrame(a), func(link *Link) (yield, cont) { return step(a, link, k) })
+	})
+}
+
+// rejection is an invalid call of a Link primitive; it calls k if the
+// primitive unexpectedly succeeds.
+type rejection struct {
+	name string
+	call func(l *Link, k func() (yield, cont)) (yield, cont)
+}
+
+// checkRejected requires every call to fail on every agent of nw before it
+// executes a single round.
+func checkRejected(t *testing.T, nw *engine.Network, cases []rejection) {
+	t.Helper()
+	for _, tc := range cases {
+		before := nw.Rounds()
+		_, err := run(nw, func(a *engine.Agent, k func(struct{}) (yield, cont)) (yield, cont) {
+			return tc.call(NewLink(core.NewFrame(a), Neighbors{}), func() (yield, cont) { return k(struct{}{}) })
+		})
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if nw.Rounds() != before {
+			t.Errorf("%s executed %d rounds", tc.name, nw.Rounds()-before)
+		}
+	}
+}
+
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
 	t.Helper()
 	opt.Model = ring.Perceptive
@@ -50,8 +95,8 @@ func trueGapTo(nw *engine.Network, i int, right bool) int64 {
 func TestNeighborDiscovery(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: seed, MixedChirality: true, ForceSplitChirality: true})
-		res, err := engine.Run(nw, func(a *engine.Agent) (Neighbors, error) {
-			return NeighborDiscovery(core.NewFrame(a))
+		res, err := run(nw, func(a *engine.Agent, k func(Neighbors) (yield, cont)) (yield, cont) {
+			return NeighborDiscoveryStep(core.NewFrame(a), k)
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -89,8 +134,8 @@ func TestNeighborDiscoveryRequiresPerceptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.Run(nw, func(a *engine.Agent) (Neighbors, error) {
-		return NeighborDiscovery(core.NewFrame(a))
+	_, err = run(nw, func(a *engine.Agent, k func(Neighbors) (yield, cont)) (yield, cont) {
+		return NeighborDiscoveryStep(core.NewFrame(a), k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
 		t.Fatalf("got %v, want ErrNeedPerceptive", err)
@@ -104,13 +149,8 @@ func TestExchangeBit(t *testing.T) {
 		type out struct {
 			left, right int
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-			link, err := Establish(core.NewFrame(a))
-			if err != nil {
-				return out{}, err
-			}
-			l, r, err := link.ExchangeBit(myBit(a.ID()))
-			return out{l, r}, err
+		res, err := runLinked(nw, func(a *engine.Agent, link *Link, k func(out) (yield, cont)) (yield, cont) {
+			return link.ExchangeBitStep(myBit(a.ID()), func(l, r int) (yield, cont) { return k(out{l, r}) })
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -129,18 +169,11 @@ func TestExchangeBit(t *testing.T) {
 }
 
 func TestExchangeBitValidation(t *testing.T) {
-	nw := newNetwork(t, netgen.Options{N: 6, Seed: 2})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return struct{}{}, err
-		}
-		_, _, err = link.ExchangeBit(7)
-		return struct{}{}, err
+	checkRejected(t, newNetwork(t, netgen.Options{N: 6, Seed: 2}), []rejection{
+		{"bit=7", func(l *Link, k func() (yield, cont)) (yield, cont) {
+			return l.ExchangeBitStep(7, func(int, int) (yield, cont) { return k() })
+		}},
 	})
-	if err == nil {
-		t.Fatal("bit=7 accepted")
-	}
 }
 
 func TestExchangeWordAndExchange(t *testing.T) {
@@ -150,21 +183,14 @@ func TestExchangeWordAndExchange(t *testing.T) {
 		wordLeft, wordRight uint64
 		fromLeft, fromRight uint64
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return out{}, err
-		}
-		wl, wr, err := link.ExchangeWord(uint64(a.ID()), bits)
-		if err != nil {
-			return out{}, err
-		}
-		// Directed exchange: send ID+1 to the left neighbour, ID+2 to the right.
-		fl, fr, err := link.Exchange(uint64(a.ID()+1), uint64(a.ID()+2), bits+2)
-		if err != nil {
-			return out{}, err
-		}
-		return out{wl, wr, fl, fr}, nil
+	res, err := runLinked(nw, func(a *engine.Agent, link *Link, k func(out) (yield, cont)) (yield, cont) {
+		return link.ExchangeWordStep(uint64(a.ID()), bits, func(wl, wr uint64) (yield, cont) {
+			// Directed exchange: send ID+1 to the left neighbour, ID+2 to the
+			// right.
+			return link.ExchangeStep(uint64(a.ID()+1), uint64(a.ID()+2), bits+2, func(fl, fr uint64) (yield, cont) {
+				return k(out{wl, wr, fl, fr})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,13 +239,10 @@ func TestDisseminate(t *testing.T) {
 	type out struct {
 		left, right SideInfo
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return out{}, err
-		}
-		l, r, err := link.Disseminate(isSource(a.ID()), uint64(a.ID()), 8, distance)
-		return out{l, r}, err
+	res, err := runLinked(nw, func(a *engine.Agent, link *Link, k func(out) (yield, cont)) (yield, cont) {
+		return link.DisseminateStep(isSource(a.ID()), uint64(a.ID()), 8, distance, func(l, r SideInfo) (yield, cont) {
+			return k(out{l, r})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,22 +296,15 @@ func TestDisseminateSparse(t *testing.T) {
 	for i := 0; i < nw.N(); i++ {
 		idxOf[nw.IDOf(i)] = i
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return out{}, err
-		}
+	res, err := runLinked(nw, func(a *engine.Agent, link *Link, k func(out) (yield, cont)) (yield, cont) {
 		me := idxOf[a.ID()]
 		before := a.RoundsUsed()
-		l, r, err := link.DisseminateSparse(isSource(me), uint64(a.ID()), payloadBits, distance)
-		if err != nil {
-			return out{}, err
-		}
-		mid := a.RoundsUsed()
-		if _, _, err := link.Disseminate(isSource(me), uint64(a.ID()), payloadBits, distance); err != nil {
-			return out{}, err
-		}
-		return out{l, r, mid - before, a.RoundsUsed() - mid}, nil
+		return link.DisseminateSparseStep(isSource(me), uint64(a.ID()), payloadBits, distance, func(l, r SideInfo) (yield, cont) {
+			mid := a.RoundsUsed()
+			return link.DisseminateStep(isSource(me), uint64(a.ID()), payloadBits, distance, func(SideInfo, SideInfo) (yield, cont) {
+				return k(out{l, r, mid - before, a.RoundsUsed() - mid})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,61 +338,42 @@ func TestDisseminateSparse(t *testing.T) {
 }
 
 func TestDisseminateSparseValidation(t *testing.T) {
-	nw := newNetwork(t, netgen.Options{N: 6, Seed: 9})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return struct{}{}, err
+	sparse := func(payloadBits, distance int) func(l *Link, k func() (yield, cont)) (yield, cont) {
+		return func(l *Link, k func() (yield, cont)) (yield, cont) {
+			return l.DisseminateSparseStep(false, 0, payloadBits, distance, func(SideInfo, SideInfo) (yield, cont) { return k() })
 		}
-		if _, _, err := link.DisseminateSparse(false, 0, 8, 0); err == nil {
-			return struct{}{}, errors.New("distance 0 accepted")
-		}
-		if _, _, err := link.DisseminateSparse(false, 0, 0, 2); err == nil {
-			return struct{}{}, errors.New("payloadBits 0 accepted")
-		}
-		if _, _, err := link.DisseminateSparse(false, 0, 61, 2); err == nil {
-			return struct{}{}, errors.New("oversized payload accepted")
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	checkRejected(t, newNetwork(t, netgen.Options{N: 6, Seed: 9}), []rejection{
+		{"distance 0", sparse(8, 0)},
+		{"payloadBits 0", sparse(0, 2)},
+		{"oversized payload", sparse(61, 2)},
+	})
 }
 
 func TestDisseminateValidation(t *testing.T) {
-	nw := newNetwork(t, netgen.Options{N: 6, Seed: 3})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return struct{}{}, err
+	dissem := func(payloadBits, distance int) func(l *Link, k func() (yield, cont)) (yield, cont) {
+		return func(l *Link, k func() (yield, cont)) (yield, cont) {
+			return l.DisseminateStep(false, 0, payloadBits, distance, func(SideInfo, SideInfo) (yield, cont) { return k() })
 		}
-		if _, _, err := link.Disseminate(false, 0, 8, 0); err == nil {
-			return struct{}{}, errors.New("distance 0 accepted")
-		}
-		if _, _, err := link.Disseminate(false, 0, 0, 3); err == nil {
-			return struct{}{}, errors.New("payloadBits 0 accepted")
-		}
-		if _, _, err := link.Disseminate(false, 0, 40, 3); err == nil {
-			return struct{}{}, errors.New("oversized message accepted")
-		}
-		if _, _, err := link.AggregateMax(false, 0, 0, 3); err == nil {
-			return struct{}{}, errors.New("valueBits 0 accepted")
-		}
-		if _, _, err := link.AggregateMax(false, 0, 8, 0); err == nil {
-			return struct{}{}, errors.New("aggregate distance 0 accepted")
-		}
-		if _, _, err := link.ExchangeWord(0, 0); err == nil {
-			return struct{}{}, errors.New("0-bit word accepted")
-		}
-		if _, _, err := link.Exchange(0, 0, 40); err == nil {
-			return struct{}{}, errors.New("oversized exchange accepted")
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	aggregate := func(valueBits, distance int) func(l *Link, k func() (yield, cont)) (yield, cont) {
+		return func(l *Link, k func() (yield, cont)) (yield, cont) {
+			return l.AggregateMaxStep(false, 0, valueBits, distance, func(uint64, bool) (yield, cont) { return k() })
+		}
+	}
+	checkRejected(t, newNetwork(t, netgen.Options{N: 6, Seed: 3}), []rejection{
+		{"distance 0", dissem(8, 0)},
+		{"payloadBits 0", dissem(0, 3)},
+		{"oversized message", dissem(40, 3)},
+		{"valueBits 0", aggregate(0, 3)},
+		{"aggregate distance 0", aggregate(8, 0)},
+		{"0-bit word", func(l *Link, k func() (yield, cont)) (yield, cont) {
+			return l.ExchangeWordStep(0, 0, func(uint64, uint64) (yield, cont) { return k() })
+		}},
+		{"oversized exchange", func(l *Link, k func() (yield, cont)) (yield, cont) {
+			return l.ExchangeStep(0, 0, 40, func(uint64, uint64) (yield, cont) { return k() })
+		}},
+	})
 }
 
 func TestAggregateMax(t *testing.T) {
@@ -384,19 +381,13 @@ func TestAggregateMax(t *testing.T) {
 	const distance = 2
 	// Every agent is a source with its own ID: the aggregate is the maximum
 	// ID within ring distance 2 (in either direction).
-	res, err := engine.Run(nw, func(a *engine.Agent) (uint64, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return 0, err
-		}
-		max, found, err := link.AggregateMax(true, uint64(a.ID()), 9, distance)
-		if err != nil {
-			return 0, err
-		}
-		if !found {
-			return 0, errors.New("aggregate found nothing")
-		}
-		return max, nil
+	res, err := runLinked(nw, func(a *engine.Agent, link *Link, k func(uint64) (yield, cont)) (yield, cont) {
+		return link.AggregateMaxStep(true, uint64(a.ID()), 9, distance, func(max uint64, found bool) (yield, cont) {
+			if !found {
+				return engine.Abort(errors.New("aggregate found nothing"))
+			}
+			return k(max)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"ringsym/internal/engine"
 )
 
-// DisseminateSparse implements the sparse information dissemination task of
+// DisseminateSparseStep implements the sparse information dissemination task of
 // Corollary 34: when the source agents are at ring distance at least
 // `distance` from one another, a p-bit message travels `distance` hops in
 // O(p + distance) exchange steps instead of the O(p·distance) of the generic
@@ -23,16 +23,6 @@ import (
 // behind the blocking one).
 //
 // Cost: (1 + payloadBits + distance) relay steps of 8 rounds each.
-func (l *Link) DisseminateSparse(isSource bool, payload uint64, payloadBits, distance int) (left, right SideInfo, err error) {
-	p, err := engine.RunStep(l.frame.Agent(), func(k func(sidePair) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return l.DisseminateSparseStep(isSource, payload, payloadBits, distance, func(left, right SideInfo) (engine.Yield, engine.Cont) {
-			return k(sidePair{left: left, right: right})
-		})
-	})
-	return p.left, p.right, err
-}
-
-// DisseminateSparseStep is the machine form of DisseminateSparse.
 func (l *Link) DisseminateSparseStep(isSource bool, payload uint64, payloadBits, distance int, k func(left, right SideInfo) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if distance < 1 {
 		return engine.Abort(fmt.Errorf("rcomm: dissemination distance must be positive, got %d", distance))

@@ -653,9 +653,9 @@ type Metrics struct {
 	Cancelled        uint64  `json:"cancelled"`
 	RecordsPerSecond float64 `json:"records_per_second"`
 	// Engine exposes the round runtime's process-wide execution counters:
-	// rounds executed, leap batches (barrier crossings) executed and the mean
-	// rounds per crossing — the live measure of how much leap execution is
-	// collapsing barrier traffic for the scenarios this daemon serves.
+	// rounds executed, leap batches (crossings) executed and the mean rounds
+	// per crossing — the live measure of how much leap execution is
+	// collapsing per-round scheduling for the scenarios this daemon serves.
 	Engine engine.Counters `json:"engine"`
 	// CacheRequests counts accepted GET /v1/cache/<key> lookups (the fleet
 	// peering endpoint); always 0 without a store.

@@ -14,14 +14,14 @@
 // This package is the public facade over the full implementation:
 //
 //   - Network wraps a simulated ring of agents (exact integer geometry; the
-//     default runtime steps every agent's protocol as a resumable state
-//     machine on one scheduler goroutine, with the older goroutine-per-agent
-//     runtimes selectable per call);
+//     runtime steps every agent's protocol as a resumable state machine on
+//     the calling goroutine);
 //   - Coordinate runs the symmetry-breaking pipeline of the paper
 //     (nontrivial move → direction agreement → leader election);
 //   - DiscoverLocations runs location discovery with the best algorithm for
 //     the model and parity (Lemma 16 or Theorem 42);
-//   - Run exposes the raw per-agent runtime for custom protocols.
+//   - Run exposes the raw per-agent runtime for custom protocols, written as
+//     machines (NewProto).
 //
 // The sub-packages under internal/ contain the substrates (geometry, physics,
 // engine, combinatorics, communication layer) and the individual algorithms;
@@ -68,27 +68,26 @@ const (
 // Agent is the handle a protocol uses to act in the network.
 type Agent = engine.Agent
 
-// Runtime selects the synchronisation substrate a pipeline runs on.  All
-// runtimes produce byte-identical observations, outputs and round counts;
-// they differ only in scheduling cost.
-type Runtime = engine.Runtime
+// Proto is an agent protocol as a resumable state machine with a typed
+// result; build one with NewProto.
+type Proto[T any] = engine.Proto[T]
 
-// Runtimes.
-const (
-	// RuntimeDefault resolves to the process-wide default (the FSM scheduler
-	// unless overridden with SetDefaultRuntime).
-	RuntimeDefault = engine.RuntimeDefault
-	// RuntimeFSM is the v3 single-goroutine scheduler over resumable state
-	// machines.
-	RuntimeFSM = engine.RuntimeFSM
-	// RuntimeBarrier is the v2 goroutine-per-agent barrier runtime.
-	RuntimeBarrier = engine.RuntimeBarrier
-	// RuntimeLegacy is the v1 channel-rendezvous runtime (no cancellation).
-	RuntimeLegacy = engine.RuntimeLegacy
-)
+// Yield is one agent's request for the next round or batch of rounds, built
+// by the Agent's Yield* methods.
+type Yield = engine.Yield
 
-// SetDefaultRuntime changes what RuntimeDefault resolves to, process-wide.
-func SetDefaultRuntime(rt Runtime) { engine.SetDefaultRuntime(rt) }
+// Cont is the continuation a protocol resumes with once its Yield executed.
+type Cont = engine.Cont
+
+// Resume carries the observations of an executed Yield into its Cont.
+type Resume = engine.Resume
+
+// NewProto builds a machine from a protocol in continuation-passing style:
+// start receives the machine's done continuation and returns the first
+// Yield, and the protocol calls done(result) where it finishes.
+func NewProto[T any](start func(done func(T) (Yield, Cont)) (Yield, Cont)) *Proto[T] {
+	return engine.NewProto(start)
+}
 
 // Observation is what an agent learns at the end of a round.
 type Observation = engine.Observation
@@ -218,22 +217,23 @@ func (n *Network) InitialPositions() []int64 { return n.nw.InitialPositions() }
 // index.
 func (n *Network) CurrentPositions() []int64 { return n.nw.CurrentPositions() }
 
-// Engine exposes the underlying runtime for advanced uses (custom protocols
-// via Run).
+// Engine exposes the underlying runtime for advanced uses.
 func (n *Network) Engine() *engine.Network { return n.nw }
 
-// Run executes a custom per-agent protocol on every agent concurrently and
-// returns the outputs by ring index together with the number of rounds used.
-func Run[T any](n *Network, protocol func(a *Agent) (T, error)) ([]T, int, error) {
-	return RunContext(context.Background(), n, protocol)
+// Run executes a custom protocol on every agent: build is called once per
+// agent, in ring-index order, to construct its machine, and every machine
+// runs to completion.  It returns the outputs by ring index together with the
+// number of rounds used.
+func Run[T any](n *Network, build func(a *Agent) *Proto[T]) ([]T, int, error) {
+	return RunContext(context.Background(), n, build)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled, the in-flight
-// round is aborted and every agent's pending Round call returns an error
-// wrapping ctx.Err() within one round, instead of the run continuing until
-// the protocol terminates or the round bound is hit.
-func RunContext[T any](ctx context.Context, n *Network, protocol func(a *Agent) (T, error)) ([]T, int, error) {
-	res, err := engine.RunContext(ctx, n.nw, protocol)
+// RunContext is Run with cancellation: when ctx is cancelled, every machine
+// still waiting for a round is resumed with an error wrapping ctx.Err()
+// within one round, instead of the run continuing until the protocol
+// terminates or the round bound is hit.
+func RunContext[T any](ctx context.Context, n *Network, build func(a *Agent) *Proto[T]) ([]T, int, error) {
+	res, err := engine.RunFSMContext(ctx, n.nw, build)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -248,11 +248,10 @@ type CoordinationOptions struct {
 	CommonSense bool
 	// Seed drives the pseudo-random schedules used for even n.
 	Seed int64
-	// UsePerceptiveAlgorithms selects the O(√n·log N) Section V algorithms
-	// when the model is perceptive (default true for perceptive networks).
+	// DisablePerceptiveAlgorithms makes a perceptive network use the
+	// basic-model algorithms instead of the O(√n·log N) Section V ones, which
+	// run by default when the model is perceptive and CommonSense is unset.
 	DisablePerceptiveAlgorithms bool
-	// Runtime selects the engine runtime (default: the FSM scheduler).
-	Runtime Runtime `json:"-"`
 }
 
 // AgentCoordination is one agent's coordination outcome.
@@ -285,42 +284,12 @@ func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, err
 // the pipeline within one round.
 func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOptions) (*CoordinationResult, error) {
 	usePerceptive := n.Model() == Perceptive && !opts.DisablePerceptiveAlgorithms && !opts.CommonSense
-	var (
-		outputs []*core.Coordination
-		rounds  int
-		err     error
-	)
-	switch opts.Runtime.Resolve() {
-	case engine.RuntimeFSM:
-		var res *engine.Result[*core.Coordination]
-		res, err = engine.RunFSMContext(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
-			if usePerceptive {
-				return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
-			}
-			return core.CoordinateMachine(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
+	outputs, rounds, err := RunContext(ctx, n, func(a *Agent) *Proto[*core.Coordination] {
+		if usePerceptive {
+			return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
 		}
-	case engine.RuntimeLegacy:
-		var res *engine.Result[*core.Coordination]
-		res, err = engine.RunLegacy(n.nw, func(a *Agent) (*core.Coordination, error) {
-			if usePerceptive {
-				return perceptive.Coordinate(a, perceptive.Options{Seed: opts.Seed})
-			}
-			return core.Coordinate(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
-		}
-	default:
-		outputs, rounds, err = RunContext(ctx, n, func(a *Agent) (*core.Coordination, error) {
-			if usePerceptive {
-				return perceptive.Coordinate(a, perceptive.Options{Seed: opts.Seed})
-			}
-			return core.Coordinate(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
-		})
-	}
+		return core.CoordinateMachine(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -351,8 +320,6 @@ type DiscoveryOptions struct {
 	CommonSense bool
 	// Seed drives the pseudo-random schedules.
 	Seed int64
-	// Runtime selects the engine runtime (default: the FSM scheduler).
-	Runtime Runtime `json:"-"`
 }
 
 // AgentDiscovery is one agent's location-discovery outcome.
@@ -393,33 +360,9 @@ func (n *Network) DiscoverLocations(opts DiscoveryOptions) (*DiscoveryResult, er
 func (n *Network) DiscoverLocationsContext(ctx context.Context, opts DiscoveryOptions) (*DiscoveryResult, error) {
 	start := n.nw.CurrentPositions()
 	dopts := discovery.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}
-	var (
-		outputs []*discovery.Result
-		rounds  int
-		err     error
-	)
-	switch opts.Runtime.Resolve() {
-	case engine.RuntimeFSM:
-		var res *engine.Result[*discovery.Result]
-		res, err = engine.RunFSMContext(ctx, n.nw, func(a *Agent) *engine.Proto[*discovery.Result] {
-			return discovery.LocationDiscoveryMachine(a, dopts)
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
-		}
-	case engine.RuntimeLegacy:
-		var res *engine.Result[*discovery.Result]
-		res, err = engine.RunLegacy(n.nw, func(a *Agent) (*discovery.Result, error) {
-			return discovery.LocationDiscovery(a, dopts)
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
-		}
-	default:
-		outputs, rounds, err = RunContext(ctx, n, func(a *Agent) (*discovery.Result, error) {
-			return discovery.LocationDiscovery(a, dopts)
-		})
-	}
+	outputs, rounds, err := RunContext(ctx, n, func(a *Agent) *Proto[*discovery.Result] {
+		return discovery.LocationDiscoveryMachine(a, dopts)
+	})
 	if err != nil {
 		return nil, err
 	}

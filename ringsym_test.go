@@ -125,12 +125,12 @@ func TestRunCustomProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, rounds, err := ringsym.Run(nw, func(a *ringsym.Agent) (int64, error) {
-		obs, err := a.Round(ringsym.Clockwise)
-		if err != nil {
-			return 0, err
-		}
-		return obs.Dist, nil
+	outs, rounds, err := ringsym.Run(nw, func(a *ringsym.Agent) *ringsym.Proto[int64] {
+		return ringsym.NewProto(func(done func(int64) (ringsym.Yield, ringsym.Cont)) (ringsym.Yield, ringsym.Cont) {
+			return a.YieldRound(ringsym.Clockwise), func(in ringsym.Resume) (ringsym.Yield, ringsym.Cont) {
+				return done(in.Obs[0].Dist)
+			}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,15 +203,17 @@ func TestRunContextCancelMidProtocol(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, err = ringsym.RunContext(ctx, nw, func(a *ringsym.Agent) (int, error) {
-		for {
-			if a.RoundsUsed() == 5 && a.ID()%2 == 1 {
-				cancel()
+	_, _, err = ringsym.RunContext(ctx, nw, func(a *ringsym.Agent) *ringsym.Proto[int] {
+		return ringsym.NewProto(func(done func(int) (ringsym.Yield, ringsym.Cont)) (ringsym.Yield, ringsym.Cont) {
+			var loop ringsym.Cont
+			loop = func(ringsym.Resume) (ringsym.Yield, ringsym.Cont) {
+				if a.RoundsUsed() == 5 && a.ID()%2 == 1 {
+					cancel()
+				}
+				return a.YieldRound(ringsym.Clockwise), loop
 			}
-			if _, err := a.Round(ringsym.Clockwise); err != nil {
-				return a.RoundsUsed(), err
-			}
-		}
+			return loop(ringsym.Resume{})
+		})
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
