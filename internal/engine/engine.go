@@ -132,8 +132,6 @@ type Network struct {
 // inside the run its machine was built for and must not be shared across
 // goroutines.
 type Agent struct {
-	nw         *Network
-	idx        int // ring index (never revealed to protocols)
 	id         int
 	idBound    int
 	parity     Parity
@@ -146,8 +144,9 @@ type Agent struct {
 	// Scratch buffers reused across batched submissions: objBuf receives the
 	// executor-written objective observations, dirBuf holds the objective
 	// translation of a schedule.  Both stay stable while the agent's yield is
-	// pending, which is the only time the executor reads them.  resBuf holds the own-frame translation of the trace a machine is resumed
-	// with (fsm.go); it is valid until the machine's next yield.
+	// pending, which is the only time the executor reads them.  resBuf holds the
+	// own-frame translation of the trace a machine is resumed with (fsm.go); it is
+	// valid until the machine's next yield.
 	objBuf []ring.Observation
 	dirBuf []ring.Direction
 	resBuf []Observation
@@ -198,8 +197,6 @@ func New(cfg Config) (*Network, error) {
 	nw.agents = make([]*Agent, n)
 	for i := 0; i < n; i++ {
 		nw.agents[i] = &Agent{
-			nw:         nw,
-			idx:        i,
 			id:         cfg.IDs[i],
 			idBound:    cfg.IDBound,
 			parity:     nw.parity(),
@@ -267,7 +264,7 @@ func (nw *Network) Reset(cfg Config) error {
 	for i := 0; i < n; i++ {
 		a := nw.agents[i]
 		if a == nil {
-			a = &Agent{nw: nw, idx: i}
+			a = &Agent{}
 			nw.agents[i] = a
 		}
 		a.id = cfg.IDs[i]

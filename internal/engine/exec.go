@@ -84,13 +84,14 @@ func (e *leapExec) init(nw *Network) {
 // crossing executes one crossing: the minimum remaining round count over all
 // pending batches (the leap), in constant-direction stretches, filling in the
 // default direction (the agent's own clockwise) for agents that are no longer
-// submitting.  Within the leap every maximal stretch over which all
-// directions are constant executes in closed form (ring.ExecuteRoundsInto); a
-// stretch of length 1 is the plain per-round path (ring.ExecuteRoundInto).  It returns the number of pending batches (0 means every agent
-// has left and nothing executed) and the run failure, fully wrapped, when the
-// round budget is exhausted, the network is broken or the analytic engine
-// rejects a round.  Panics in the analytic engine propagate; callers convert
-// them into a broken-network failure.
+// submitting.  Within the leap every maximal stretch over which all directions
+// are constant executes in closed form (ring.ExecuteRoundsInto); a stretch of
+// length 1 is the plain per-round path (ring.ExecuteRoundInto).  It returns the
+// number of pending batches (0 means every machine has terminated and nothing
+// executed) and the run failure, fully wrapped, when the round budget is
+// exhausted, the network is broken or the analytic engine rejects a round.
+// Panics in the analytic engine propagate; callers convert them into a
+// broken-network failure.
 func (e *leapExec) crossing() (active int, err error) {
 	if testHookExecuteRound != nil {
 		testHookExecuteRound()

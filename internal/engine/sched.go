@@ -1,10 +1,10 @@
 // The scheduler: one goroutine per scenario — the caller's — drives every
 // agent's machine (fsm.go) to its next yield, executes the crossing inline
 // through the leap executor (exec.go) and resumes the machines with their
-// observations.  There is no barrier, no per-agent goroutine and no second
-// goroutine anywhere in the round loop — all protocol state, all pending slots
-// and the ring state itself are mutated from the one goroutine, so the runtime
-// is synchronisation-free by construction (ringvet's fsmguard analyzer holds
+// observations.  There is no per-agent goroutine and no second goroutine
+// anywhere in the round loop — all protocol state, all pending slots and the
+// ring state itself are mutated from the one goroutine, so the runtime is
+// synchronisation-free by construction (ringvet's fsmguard analyzer holds
 // protocol code to the same standard).
 //
 // Batch is the structure-of-arrays arena behind a scheduler: machine, yield,
