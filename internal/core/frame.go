@@ -44,7 +44,7 @@ var (
 
 // Frame wraps an agent together with its current software sense of
 // direction.  Protocols express all directions in frame coordinates;
-// DirectionAgreement flips frames so that afterwards every agent's frame
+// DirectionAgreementStep flips frames so that afterwards every agent's frame
 // refers to the same objective direction.
 type Frame struct {
 	agent   *engine.Agent

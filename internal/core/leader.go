@@ -10,7 +10,7 @@ import (
 // LeaderElectWithNMStep implements Algorithm 2 (LeaderWithNMove).
 //
 // Preconditions: every agent's frame refers to the same objective clockwise
-// direction (run DirectionAgreement first) and nmDir is this agent's
+// direction (run DirectionAgreementStep first) and nmDir is this agent's
 // direction, in that common frame, in an assignment known to be a nontrivial
 // move.  The candidate set starts as the agents that move clockwise in the
 // nontrivial move (its rotation index is nonzero) and is halved along
@@ -95,8 +95,8 @@ func EmptinessTestStep(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Co
 
 // LeaderElectCommonSenseStep implements Lemma 13: with a common sense of
 // direction the agent with the maximum identifier is located by binary search
-// over [1, N], using EmptinessTest on the upper half of the remaining range.
-// Cost: ⌈log2 N⌉ emptiness tests, i.e. O(log N) rounds in the lazy,
+// over [1, N], using EmptinessTestStep on the upper half of the remaining
+// range. Cost: ⌈log2 N⌉ emptiness tests, i.e. O(log N) rounds in the lazy,
 // perceptive and odd-n basic settings and O(log² N) rounds in the basic model
 // with even n.
 func LeaderElectCommonSenseStep(f *Frame, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {

@@ -129,7 +129,7 @@ func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result)
 		// not know n, so it asks for exponentially growing constant-direction
 		// batches and scans each returned displacement trace for the round at
 		// which it is back at its pre-sweep position.  The engine solves that
-		// stop condition in closed form (Frame.RoundUntil), so the batch ends
+		// stop condition in closed form (Frame.RoundUntilStep), so the batch ends
 		// exactly at the return round — the same n rounds the per-round loop
 		// consumed — in O(log n) scheduler visits instead of n.
 		//

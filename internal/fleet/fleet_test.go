@@ -102,9 +102,12 @@ func TestFleetByteIdentity(t *testing.T) {
 }
 
 // flakyWorker streams real records but aborts the connection after maxLines
-// lines on the first failTimes requests: a daemon dying mid-stream.
+// lines on the first failTimes requests: a daemon dying mid-stream.  lines
+// holds the matrix's export, rendered once up front so the worker answers at
+// once: a worker that spent its lease recomputing the matrix could lose every
+// lease to the healthy worker's stealing before the fault fired.
 type flakyWorker struct {
-	t         *testing.T
+	lines     [][]byte
 	remaining atomic.Int64 // aborts left to inject
 	maxLines  int
 }
@@ -116,19 +119,8 @@ func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
 	hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
-	var m campaign.Matrix
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	scs, err := m.Expand()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	lines := exportLines(f.t, scs)
 	abort := f.remaining.Add(-1) >= 0
-	for i, line := range lines[lo:hi] {
+	for i, line := range f.lines[lo:hi] {
 		if abort && i >= f.maxLines {
 			panic(http.ErrAbortHandler) // cut the stream mid-lease
 		}
@@ -170,7 +162,11 @@ func TestFleetSurvivesMidStreamDeath(t *testing.T) {
 	sub := obs.Default.Subscribe(obs.SubOptions{Buffer: 1 << 12})
 	defer sub.Close()
 
-	flaky := &flakyWorker{t: t, maxLines: 2}
+	scs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyWorker{lines: exportLines(t, scs), maxLines: 2}
 	flaky.remaining.Store(2) // two leases die mid-stream, then behave
 	fw := httptest.NewServer(flaky)
 	defer fw.Close()

@@ -17,7 +17,7 @@ import (
 //
 // Preconditions: the perceptive model, an elected unique leader, a common
 // sense of direction (the frame underlying the link is the agreed one) and a
-// configuration-preserving link (as produced by rcomm.Establish after
+// configuration-preserving link (as produced by rcomm.EstablishStep after
 // direction agreement).  The algorithm preserves the configuration.
 //
 // In iteration i (k = 2^i) the agents with labels k(j+1) for j = 1..k learn

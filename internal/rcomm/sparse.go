@@ -7,12 +7,12 @@ import (
 )
 
 // DisseminateSparseStep implements the sparse information dissemination task of
-// Corollary 34: when the source agents are at ring distance at least
-// `distance` from one another, a p-bit message travels `distance` hops in
-// O(p + distance) exchange steps instead of the O(p·distance) of the generic
-// Disseminate, because the message is pipelined bit by bit: every relay step
-// each agent forwards, in each direction, the bit it received from the
-// opposite direction in the previous step, delayed by exactly one hop.
+// Corollary 34: when the source agents are at ring distance at least `distance`
+// from one another, a p-bit message travels `distance` hops in O(p + distance)
+// exchange steps instead of the O(p·distance) of the generic DisseminateStep,
+// because the message is pipelined bit by bit: every relay step each agent
+// forwards, in each direction, the bit it received from the opposite direction
+// in the previous step, delayed by exactly one hop.
 //
 // The stream format is a single presence bit (1) followed by the payload bits
 // (LSB first); an idle channel carries zeros, which is the "nothing to
