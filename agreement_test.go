@@ -15,7 +15,7 @@ import (
 // grids below, the rounds, crossings and result digest the runtimes agreed on.
 const agreementFile = "testdata/runtime_agreement.txt"
 
-const agreementHeader = `# Runtime agreement: one line per grid point of TestRuntimeAgreement, with
+const agreementHeader = `# Runtime agreement: one line per grid point of TestRuntimeDifferential*, with
 # the rounds, crossings and SHA-256 of the JSON result (or of "error: " and
 # the error text) that the v1 legacy, v2 barrier and v3 scheduler runtimes
 # produced identically.  Recorded while all three runtimes were live.
@@ -111,14 +111,15 @@ func (r agreementRun) line(t *testing.T, p agreementPoint) string {
 	return fmt.Sprintf("%s rounds=%d crossings=%d sha256=%x", p, r.rounds, r.crossings, sha256.Sum256(payload))
 }
 
-// TestRuntimeAgreement checks every grid point against the recorded
+// checkAgreement checks every grid point of one task against the recorded
 // agreement of the three runtimes the engine used to have: the v1 legacy
 // channel rendezvous (one crossing per round), the v2 goroutine-per-agent
 // barrier and the v3 scheduler.  The file was generated while all three ran
 // and asserted deep-equal results, equal round counts and equal v2/v3
 // crossing counts at every point, so the scheduler alone must still
 // reproduce each recorded line.
-func TestRuntimeAgreement(t *testing.T) {
+func checkAgreement(t *testing.T, task string) {
+	t.Helper()
 	raw, err := os.ReadFile(agreementFile)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +129,30 @@ func TestRuntimeAgreement(t *testing.T) {
 	if len(want) != len(grid) {
 		t.Fatalf("%s has %d lines for %d grid points", agreementFile, len(want), len(grid))
 	}
+	checked := 0
 	for i, p := range grid {
+		if p.task != task {
+			continue
+		}
+		checked++
 		if got := runAgreementPoint(t, p).line(t, p); got != want[i] {
 			t.Errorf("%v drifted from the recorded agreement:\ngot:  %s\nwant: %s", p, got, want[i])
 		}
 	}
+	if checked == 0 {
+		t.Fatalf("no %s points in the grid", task)
+	}
+}
+
+// TestRuntimeDifferentialCoordinate checks the coordination grid (model × n ×
+// chirality × seed) against the recorded runtime agreement.
+func TestRuntimeDifferentialCoordinate(t *testing.T) {
+	checkAgreement(t, "coordinate")
+}
+
+// TestRuntimeDifferentialDiscover checks the location-discovery grid — the
+// lazy sweep, the odd-n basic/perceptive sweep and the even-n perceptive
+// Section V pipeline — against the recorded runtime agreement.
+func TestRuntimeDifferentialDiscover(t *testing.T) {
+	checkAgreement(t, "discover")
 }

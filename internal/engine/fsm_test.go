@@ -184,6 +184,50 @@ func TestFSMCancellation(t *testing.T) {
 	}
 }
 
+// TestRunContextCancellationStopsRunawayProtocol pins cancellation by another
+// goroutine, the way a caller's deadline or a daemon's shutdown arrives: a
+// protocol that would otherwise spin until the round budget stops at the
+// crossing after the cancel, with the run error wrapping context.Canceled,
+// and the network can run again.  The step that triggers the cancel waits
+// for the other goroutine to finish it, so the landing round is exact.
+func TestRunContextCancellationStopsRunawayProtocol(t *testing.T) {
+	nw, err := New(testConfig(ring.Basic, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	const cancelAfter = 10
+	res, err := RunFSMContext(ctx, nw, func(a *Agent) *Proto[int] {
+		dir := func(int) ring.Direction {
+			if a.ID() == 7 && a.RoundsUsed() == cancelAfter {
+				cancelled := make(chan struct{})
+				go func() {
+					cancel()
+					close(cancelled)
+				}()
+				<-cancelled
+			}
+			return ring.Clockwise
+		}
+		return perRound(a, math.MaxInt, dir, nil, a.RoundsUsed)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
+	}
+	// Without the cancel the protocol would run until DefaultMaxRounds.
+	if res.Rounds != cancelAfter {
+		t.Errorf("run consumed %d rounds after cancellation at round %d", res.Rounds, cancelAfter)
+	}
+	// The network is not broken by a cancellation: it can run again.
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		return perRound(a, 1, constDir(ring.Clockwise), nil, a.RoundsUsed)
+	}); err != nil {
+		t.Fatalf("run after cancelled run failed: %v", err)
+	}
+}
+
 // TestRunContextPreCancelled verifies that an already-cancelled context
 // prevents the run from starting at all: no machine is built and no round
 // executes.
