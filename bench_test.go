@@ -215,7 +215,7 @@ func BenchmarkAblationDissemination(b *testing.B) {
 			}
 			res, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
 				return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-					return rcomm.EstablishStep(core.NewFrame(a), func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+					return rcomm.EstablishStep(a, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
 						before := a.RoundsUsed()
 						isSource := a.ID()%8 == 1
 						k := func(rcomm.SideInfo, rcomm.SideInfo) (engine.Yield, engine.Cont) {
@@ -253,14 +253,13 @@ func BenchmarkAblationNontrivialDetection(b *testing.B) {
 			}
 			res, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
 				return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-					f := core.NewFrame(a)
 					if weak {
-						return core.WeakNontrivialMoveEvenStep(f, int64(i), func(ring.Direction, int) (engine.Yield, engine.Cont) {
-							return done(f.RoundsUsed())
+						return core.WeakNontrivialMoveEvenStep(a, int64(i), func(ring.Direction, int) (engine.Yield, engine.Cont) {
+							return done(a.RoundsUsed())
 						})
 					}
-					return core.NontrivialMoveEvenStep(f, int64(i), func(ring.Direction) (engine.Yield, engine.Cont) {
-						return done(f.RoundsUsed())
+					return core.NontrivialMoveEvenStep(a, int64(i), func(ring.Direction) (engine.Yield, engine.Cont) {
+						return done(a.RoundsUsed())
 					})
 				})
 			})

@@ -17,12 +17,10 @@ type Options struct {
 
 // Coordination is the outcome of solving the three coordination problems.
 type Coordination struct {
-	// Frame is the agent's frame after direction agreement; all agents'
-	// frames refer to the same objective clockwise direction.
-	Frame *Frame
 	// IsLeader reports whether this agent was elected the unique leader.
 	IsLeader bool
-	// NontrivialDir is this agent's direction, in the agreed frame, in an
+	// NontrivialDir is this agent's direction, in the agreed sense of
+	// direction (the agent's orientation after the pipeline), in an
 	// assignment known to be a nontrivial move.
 	NontrivialDir ring.Direction
 	// RoundsNontrivial, RoundsAgreement and RoundsLeader record the number
@@ -53,50 +51,47 @@ func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*Coordinatio
 //   - even (or unknown) n: the pseudo-random schedule substituting for
 //     Theorem 27, then Algorithm 1 and Algorithm 2.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	f := NewFrame(a)
 	if opts.CommonSense {
-		return coordinateCommonSenseStep(f, k)
+		return coordinateCommonSenseStep(a, k)
 	}
 
-	start := f.RoundsUsed()
+	start := a.RoundsUsed()
 	nmStep := NontrivialMoveOddStep
 	if a.NParity() != engine.ParityOdd {
-		nmStep = func(f *Frame, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return NontrivialMoveEvenStep(f, opts.Seed, k)
+		nmStep = func(a *engine.Agent, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return NontrivialMoveEvenStep(a, opts.Seed, k)
 		}
 	}
-	return nmStep(f, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-		afterNM := f.RoundsUsed()
-		return DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-			afterDA := f.RoundsUsed()
-			return LeaderElectWithNMStep(f, nmDir, func(isLeader bool) (engine.Yield, engine.Cont) {
+	return nmStep(a, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+		afterNM := a.RoundsUsed()
+		return DirectionAgreementStep(a, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+			afterDA := a.RoundsUsed()
+			return LeaderElectWithNMStep(a, nmDir, func(isLeader bool) (engine.Yield, engine.Cont) {
 				return k(&Coordination{
-					Frame:            f,
 					IsLeader:         isLeader,
 					NontrivialDir:    nmDir,
 					RoundsNontrivial: afterNM - start,
 					RoundsAgreement:  afterDA - afterNM,
-					RoundsLeader:     f.RoundsUsed() - afterDA,
+					RoundsLeader:     a.RoundsUsed() - afterDA,
 				})
 			})
 		})
 	})
 }
 
-// coordinateCommonSenseStep is the Table II pipeline: the frames already
-// agree, so the leader is elected by binary search (Lemma 13) and a
+// coordinateCommonSenseStep is the Table II pipeline: the senses of direction
+// already agree, so the leader is elected by binary search (Lemma 13) and a
 // nontrivial move follows from the leader (Lemma 10).
-func coordinateCommonSenseStep(f *Frame, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	start := f.RoundsUsed()
-	return LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
-		afterLeader := f.RoundsUsed()
-		return NontrivialMoveFromLeaderStep(f, isLeader, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+func coordinateCommonSenseStep(a *engine.Agent, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	start := a.RoundsUsed()
+	return LeaderElectCommonSenseStep(a, func(isLeader bool) (engine.Yield, engine.Cont) {
+		afterLeader := a.RoundsUsed()
+		return NontrivialMoveFromLeaderStep(a, isLeader, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
 			return k(&Coordination{
-				Frame:            f,
 				IsLeader:         isLeader,
 				NontrivialDir:    nmDir,
 				RoundsLeader:     afterLeader - start,
-				RoundsNontrivial: f.RoundsUsed() - afterLeader,
+				RoundsNontrivial: a.RoundsUsed() - afterLeader,
 			})
 		})
 	})

@@ -73,15 +73,14 @@ func TestRotationClassString(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTranslation checks that a flipped frame reports distances in
-// its own clockwise direction.
+// TestFrameRoundTranslation checks that a flipped agent reports distances in
+// its new clockwise direction.
 func TestFrameRoundTranslation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 1, Model: ring.Perceptive})
 	type out struct {
 		plain, flipped int64
 	}
 	res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-		f := NewFrame(a)
 		// A fixed asymmetric rule so that the rotation index is nonzero.
 		dir := ring.Anticlockwise
 		if a.ID()%2 == 1 {
@@ -89,14 +88,14 @@ func TestFrameRoundTranslation(t *testing.T) {
 		}
 		// The pair undoes its first round, so the next round starts from the
 		// same configuration.
-		return f.RoundPairStep(dir, func(obs1 engine.Observation) (yield, cont) {
-			f.Flip()
+		return RoundPairStep(a, dir, func(obs1 engine.Observation) (yield, cont) {
+			a.Flip()
 			// In the flipped frame the opposite frame direction denotes the
 			// same objective direction, so the displacement is the same but
 			// must be reported complemented.
-			return f.RoundStep(dir.Opposite(), func(obs2 engine.Observation) (yield, cont) {
-				return k(out{obs1.Dist, obs2.Dist})
-			})
+			return a.YieldRound(dir.Opposite()), func(in engine.Resume) (yield, cont) {
+				return k(out{obs1.Dist, in.Obs[0].Dist})
+			}
 		})
 	})
 	if err != nil {
@@ -142,7 +141,7 @@ func TestClassifyRotation(t *testing.T) {
 				if a.ID() <= tc.clockwise {
 					dir = ring.Clockwise
 				}
-				return NewFrame(a).ClassifyRotationStep(dir, true, k)
+				return ClassifyRotationStep(a, dir, true, k)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -186,8 +185,7 @@ func TestNontrivialMoveOdd(t *testing.T) {
 				flipped bool
 			}
 			res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-				f := NewFrame(a)
-				return NontrivialMoveOddStep(f, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.Flipped()}) })
+				return NontrivialMoveOddStep(a, func(dir ring.Direction) (yield, cont) { return k(out{dir, a.Flipped()}) })
 			})
 			if err != nil {
 				t.Fatalf("mixed=%v seed=%d: %v", mixed, seed, err)
@@ -221,8 +219,7 @@ func TestNontrivialMoveEven(t *testing.T) {
 			flipped bool
 		}
 		res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-			f := NewFrame(a)
-			return NontrivialMoveEvenStep(f, 99, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.Flipped()}) })
+			return NontrivialMoveEvenStep(a, 99, func(dir ring.Direction) (yield, cont) { return k(out{dir, a.Flipped()}) })
 		})
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
@@ -252,14 +249,13 @@ func TestDirectionAgreement(t *testing.T) {
 				MixedChirality: true, ForceSplitChirality: true,
 			})
 			res, err := run(nw, func(a *engine.Agent, k func(bool) (yield, cont)) (yield, cont) {
-				f := NewFrame(a)
 				agree := func(dir ring.Direction) (yield, cont) {
-					return DirectionAgreementStep(f, dir, func(ring.Direction) (yield, cont) { return k(f.Flipped()) })
+					return DirectionAgreementStep(a, dir, func(ring.Direction) (yield, cont) { return k(a.Flipped()) })
 				}
 				if a.NParity() == engine.ParityOdd {
-					return NontrivialMoveOddStep(f, agree)
+					return NontrivialMoveOddStep(a, agree)
 				}
-				return NontrivialMoveEvenStep(f, 7, agree)
+				return NontrivialMoveEvenStep(a, 7, agree)
 			})
 			if err != nil {
 				t.Fatalf("odd=%v seed=%d: %v", parityOdd, seed, err)
@@ -283,8 +279,7 @@ func TestDirectionAgreementOdd(t *testing.T) {
 			MixedChirality: mixed, ForceSplitChirality: mixed,
 		})
 		res, err := run(nw, func(a *engine.Agent, k func(bool) (yield, cont)) (yield, cont) {
-			f := NewFrame(a)
-			return DirectionAgreementOddStep(f, func() (yield, cont) { return k(f.Flipped()) })
+			return DirectionAgreementOddStep(a, func() (yield, cont) { return k(a.Flipped()) })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -366,7 +361,7 @@ func TestEmptinessTest(t *testing.T) {
 				}
 				want := q.want(ids)
 				res, err := run(nw, func(a *engine.Agent, k func(bool) (yield, cont)) (yield, cont) {
-					return EmptinessTestStep(NewFrame(a), q.contains(a.ID(), s.n), k)
+					return EmptinessTestStep(a, q.contains(a.ID(), s.n), k)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -394,7 +389,7 @@ func TestLeaderElectCommonSense(t *testing.T) {
 		for _, n := range []int{7, 8} {
 			nw := newNetwork(t, netgen.Options{N: n, IDBound: 128, Seed: 17, Model: model})
 			res, err := run(nw, func(a *engine.Agent, k func(bool) (yield, cont)) (yield, cont) {
-				return LeaderElectCommonSenseStep(NewFrame(a), k)
+				return LeaderElectCommonSenseStep(a, k)
 			})
 			if err != nil {
 				t.Fatalf("model=%v n=%d: %v", model, n, err)
@@ -435,8 +430,7 @@ func TestNontrivialMoveFromLeader(t *testing.T) {
 			flipped bool
 		}
 		res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-			f := NewFrame(a)
-			return NontrivialMoveFromLeaderStep(f, a.ID() == maxID, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.Flipped()}) })
+			return NontrivialMoveFromLeaderStep(a, a.ID() == maxID, func(dir ring.Direction) (yield, cont) { return k(out{dir, a.Flipped()}) })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -465,7 +459,7 @@ func TestBroadcastBits(t *testing.T) {
 	}
 	const payload = uint64(0b1011001110)
 	res, err := run(nw, func(a *engine.Agent, k func(uint64) (yield, cont)) (yield, cont) {
-		return BroadcastBitsStep(NewFrame(a), a.ID() == maxID, payload, 10, k)
+		return BroadcastBitsStep(a, a.ID() == maxID, payload, 10, k)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +474,7 @@ func TestBroadcastBits(t *testing.T) {
 	}
 	// Parameter validation.
 	if _, err := run(nw, func(a *engine.Agent, k func(uint64) (yield, cont)) (yield, cont) {
-		return BroadcastBitsStep(NewFrame(a), false, 0, 0, k)
+		return BroadcastBitsStep(a, false, 0, 0, k)
 	}); err == nil {
 		t.Error("bits=0 accepted")
 	}
@@ -519,7 +513,7 @@ func TestCoordinateAllSettings(t *testing.T) {
 			}
 			res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
 				return CoordinateStep(a, Options{CommonSense: s.commonSense, Seed: 41}, func(c *Coordination) (yield, cont) {
-					return k(out{c.IsLeader, c.NontrivialDir, c.Frame.Flipped()})
+					return k(out{c.IsLeader, c.NontrivialDir, a.Flipped()})
 				})
 			})
 			if err != nil {
@@ -584,7 +578,7 @@ func TestNontrivialMoveSearchExhausted(t *testing.T) {
 		if err != nil {
 			return engine.Abort(err)
 		}
-		return NontrivialMoveSearchStep(NewFrame(a), fam, false, func(ring.Direction, int) (yield, cont) { return k(struct{}{}) })
+		return NontrivialMoveSearchStep(a, fam, false, func(ring.Direction, int) (yield, cont) { return k(struct{}{}) })
 	})
 	if !errors.Is(err, ErrNoNontrivialMove) {
 		t.Fatalf("got %v, want ErrNoNontrivialMove", err)

@@ -111,8 +111,7 @@ func perceptiveDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (eng
 // as n itself.
 func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return core.CoordinateStep(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}, func(coord *core.Coordination) (engine.Yield, engine.Cont) {
-		f := coord.Frame
-		coordRounds := f.RoundsUsed()
+		coordRounds := a.RoundsUsed()
 
 		dir := ring.Idle
 		if step == 2 {
@@ -122,14 +121,14 @@ func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result)
 			dir = ring.Clockwise
 		}
 
-		full := f.FullCircle()
-		start := f.Displacement()
+		full := a.FullCircle()
+		start := a.Displacement()
 		visited := []int64{start}
 		// The sweep executes as leap batches of doubling size: the agent does
 		// not know n, so it asks for exponentially growing constant-direction
 		// batches and scans each returned displacement trace for the round at
 		// which it is back at its pre-sweep position.  The engine solves that
-		// stop condition in closed form (Frame.RoundUntilStep), so the batch ends
+		// stop condition in closed form (Agent.YieldRoundUntil), so the batch ends
 		// exactly at the return round — the same n rounds the per-round loop
 		// consumed — in O(log n) scheduler visits instead of n.
 		//
@@ -140,10 +139,10 @@ func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result)
 		circTicks := full / 2
 		var sweep func(batch int) (engine.Yield, engine.Cont)
 		sweep = func(batch int) (engine.Yield, engine.Cont) {
-			return f.RoundUntilStep(dir, start, batch, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
+			return a.YieldRoundUntil(dir, start, batch), func(in engine.Resume) (engine.Yield, engine.Cont) {
 				d := visited[len(visited)-1]
 				returned := false
-				for _, obs := range trace {
+				for _, obs := range in.Obs {
 					d = (d + obs.Dist) % full
 					if d == start {
 						returned = true
@@ -165,7 +164,7 @@ func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result)
 				// step·j positions clockwise of the pre-sweep slot.
 				selfStep := -1
 				for j, v := range visited {
-					if ((v-0)%full+full)%full == 0 {
+					if v == 0 {
 						selfStep = j
 						break
 					}
@@ -187,9 +186,9 @@ func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result)
 					N:                  n,
 					Positions:          positions,
 					RoundsCoordination: coordRounds,
-					RoundsDiscovery:    f.RoundsUsed() - coordRounds,
+					RoundsDiscovery:    a.RoundsUsed() - coordRounds,
 				})
-			})
+			}
 		}
 		return sweep(1)
 	})

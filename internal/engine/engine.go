@@ -136,10 +136,16 @@ type Agent struct {
 	idBound    int
 	parity     Parity
 	model      ring.Model
-	chirality  bool
 	fullCircle int64
 	rounds     int
 	disp       int64
+
+	// hwChirality is the configured orientation (Config.Chirality); chirality
+	// is the agent's current software sense of direction, which Flip reverses
+	// and every run starts from hwChirality.  All own-frame translations
+	// (objective, objDisp, absorb, settle) use chirality.
+	hwChirality bool
+	chirality   bool
 
 	// Scratch buffers reused across batched submissions: objBuf receives the
 	// executor-written objective observations, dirBuf holds the objective
@@ -161,59 +167,20 @@ type Agent struct {
 
 // New validates cfg and builds the network.
 func New(cfg Config) (*Network, error) {
-	st, err := ring.New(ring.Config{
-		Model:      cfg.Model,
-		Circ:       cfg.Circ,
-		Positions:  cfg.Positions,
-		AllowSmall: cfg.AllowSmall,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	n := len(cfg.Positions)
-	if len(cfg.IDs) != n {
-		return nil, fmt.Errorf("%w: got %d IDs for %d agents", ErrBadIDs, len(cfg.IDs), n)
-	}
-	if cfg.IDBound < n {
-		return nil, fmt.Errorf("%w: IDBound %d < n %d", ErrBadIDs, cfg.IDBound, n)
-	}
-	idToIdx := make(map[int]int, n)
-	for i, id := range cfg.IDs {
-		if id < 1 || id > cfg.IDBound {
-			return nil, fmt.Errorf("%w: ID %d out of range", ErrBadIDs, id)
-		}
-		if _, dup := idToIdx[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate ID %d", ErrBadIDs, id)
-		}
-		idToIdx[id] = i
-	}
-	if cfg.Chirality != nil && len(cfg.Chirality) != n {
-		return nil, ErrBadChirality
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = DefaultMaxRounds
-	}
-	nw := &Network{cfg: cfg, state: st, idToIdx: idToIdx}
-	nw.agents = make([]*Agent, n)
-	for i := 0; i < n; i++ {
-		nw.agents[i] = &Agent{
-			id:         cfg.IDs[i],
-			idBound:    cfg.IDBound,
-			parity:     nw.parity(),
-			model:      cfg.Model,
-			chirality:  nw.ChiralityOf(i),
-			fullCircle: st.FullCircle(),
-		}
+	nw := &Network{state: &ring.State{}, idToIdx: make(map[int]int, len(cfg.Positions))}
+	if err := nw.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return nw, nil
 }
 
 // Reset re-initialises the network in place for a new configuration, reusing
 // the ring state, agent objects (with their grown scratch buffers), ID index
-// of the previous one.  It validates exactly like New.  On error
-// the network may be left partially updated and must be discarded; Reset is
-// for scenario sweeps over trusted generators, where rebuilding a complete
-// network object per scenario is pure allocation overhead.  Reset must not be
+// of the previous one.  It is the one place a configuration is validated
+// (New is Reset on an empty network).  On error the network may be left
+// partially updated and must be discarded; Reset is for scenario sweeps over
+// trusted generators, where rebuilding a complete network object per
+// scenario is pure allocation overhead.  Reset must not be
 // called while a run is in flight.
 func (nw *Network) Reset(cfg Config) error {
 	nw.mu.Lock()
@@ -271,7 +238,8 @@ func (nw *Network) Reset(cfg Config) error {
 		a.idBound = cfg.IDBound
 		a.parity = nw.parity()
 		a.model = cfg.Model
-		a.chirality = nw.ChiralityOf(i)
+		a.hwChirality = nw.ChiralityOf(i)
+		a.chirality = a.hwChirality
 		a.fullCircle = nw.state.FullCircle()
 		a.rounds = 0
 		a.disp = 0
@@ -360,8 +328,8 @@ type Result[T any] struct {
 }
 
 // beginRun acquires the network for a run: it rejects concurrent runs and
-// runs on a broken network, and resets the per-run agent state.  endRun
-// releases the network.
+// runs on a broken network, and resets the per-run agent state (rounds,
+// displacement and orientation).  endRun releases the network.
 func (nw *Network) beginRun() error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -375,6 +343,7 @@ func (nw *Network) beginRun() error {
 	for _, a := range nw.agents {
 		a.rounds = 0
 		a.disp = 0
+		a.chirality = a.hwChirality
 	}
 	return nil
 }
@@ -403,7 +372,9 @@ func joinRunErrors(nw *Network, runErr error, errs []error) error {
 	return nil
 }
 
-// objectiveDir translates agent i's own-frame direction into the global frame.
+// objectiveDir translates agent i's own-frame direction into the global frame
+// under its configured chirality: it supplies the default direction of agents
+// that terminated, which does not follow Flip.
 func (nw *Network) objectiveDir(i int, own ring.Direction) ring.Direction {
 	if own == ring.Idle || nw.ChiralityOf(i) {
 		return own
@@ -432,10 +403,27 @@ func (a *Agent) FullCircle() int64 { return a.fullCircle }
 func (a *Agent) RoundsUsed() int { return a.rounds }
 
 // Displacement returns the cumulative displacement of the agent since the
-// current run started, measured in its own clockwise direction modulo the
+// current run started, measured in its current clockwise direction modulo the
 // full circle (half-ticks).  An agent always knows the arc between its
 // initial and its current position by summing its dist() observations.
 func (a *Agent) Displacement() int64 { return a.disp }
+
+// Flip reverses the agent's software sense of direction, as Algorithm 1
+// (DirAgr) does to agents whose two-round displacement exceeds the circle:
+// from then on the directions it submits, the observations it is resumed
+// with and Displacement (re-expressed here) all refer to the opposite
+// clockwise.  Every run starts unflipped.  The default direction of an agent
+// that terminates before the others stays its hardware clockwise.
+func (a *Agent) Flip() {
+	a.chirality = !a.chirality
+	if a.disp != 0 {
+		a.disp = a.fullCircle - a.disp
+	}
+}
+
+// Flipped reports whether the agent's sense of direction is currently the
+// reverse of its hardware orientation.
+func (a *Agent) Flipped() bool { return a.chirality != a.hwChirality }
 
 // checkDir validates a direction an agent is about to submit.
 func (a *Agent) checkDir(dir ring.Direction) error {

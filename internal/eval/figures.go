@@ -36,31 +36,31 @@ func MeasureReductions(s Setting, n, idBound int, seed int64) ([]Reduction, erro
 		from, to Problem
 		bound    float64
 		boundStr string
-		measure  func(f *core.Frame, nmDir ring.Direction, isLeader bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
+		measure  func(a *engine.Agent, nmDir ring.Direction, isLeader bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
 	}
 	probes := []probe{
-		{NontrivialMove, DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return core.DirectionAgreementStep(f, nmDir, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
+		{NontrivialMove, DirectionAgreement, 1, "O(1)", func(a *engine.Agent, nmDir ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return core.DirectionAgreementStep(a, nmDir, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
 		}},
-		{NontrivialMove, LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return core.DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-				return core.LeaderElectWithNMStep(f, nmDir, func(bool) (engine.Yield, engine.Cont) { return k() })
+		{NontrivialMove, LeaderElection, logN, "O(log N)", func(a *engine.Agent, nmDir ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return core.DirectionAgreementStep(a, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+				return core.LeaderElectWithNMStep(a, nmDir, func(bool) (engine.Yield, engine.Cont) { return k() })
 			})
 		}},
-		{LeaderElection, NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
+		{LeaderElection, NontrivialMove, 1, "O(1)", func(a *engine.Agent, _ ring.Direction, isLeader bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return core.NontrivialMoveFromLeaderStep(a, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
 		}},
-		{LeaderElection, DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(dir ring.Direction) (engine.Yield, engine.Cont) {
-				return core.DirectionAgreementStep(f, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
+		{LeaderElection, DirectionAgreement, 1, "O(1)", func(a *engine.Agent, _ ring.Direction, isLeader bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return core.NontrivialMoveFromLeaderStep(a, isLeader, func(dir ring.Direction) (engine.Yield, engine.Cont) {
+				return core.DirectionAgreementStep(a, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
 			})
 		}},
-		{DirectionAgreement, LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(f *core.Frame, _ ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return core.LeaderElectCommonSenseStep(f, func(bool) (engine.Yield, engine.Cont) { return k() })
+		{DirectionAgreement, LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(a *engine.Agent, _ ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return core.LeaderElectCommonSenseStep(a, func(bool) (engine.Yield, engine.Cont) { return k() })
 		}},
-		{DirectionAgreement, NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return core.LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
-				return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
+		{DirectionAgreement, NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(a *engine.Agent, _ ring.Direction, _ bool, k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return core.LeaderElectCommonSenseStep(a, func(isLeader bool) (engine.Yield, engine.Cont) {
+				return core.NontrivialMoveFromLeaderStep(a, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return k() })
 			})
 		}},
 	}
@@ -82,16 +82,15 @@ func MeasureReductions(s Setting, n, idBound int, seed int64) ([]Reduction, erro
 		}
 		res, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
 			return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-				f := core.NewFrame(a)
 				isLeader := a.ID() == maxID
 				measure := func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-					start := f.RoundsUsed()
-					return p.measure(f, nmDir, isLeader, func() (engine.Yield, engine.Cont) {
-						return done(f.RoundsUsed() - start)
+					start := a.RoundsUsed()
+					return p.measure(a, nmDir, isLeader, func() (engine.Yield, engine.Cont) {
+						return done(a.RoundsUsed() - start)
 					})
 				}
 				if p.from == NontrivialMove {
-					return core.NontrivialMoveFromLeaderStep(f, isLeader, measure)
+					return core.NontrivialMoveFromLeaderStep(a, isLeader, measure)
 				}
 				var none ring.Direction
 				return measure(none)
@@ -158,10 +157,10 @@ func MeasureRingDist(sizes []int, idBoundFactor int, seed int64) ([]RingDistSamp
 		res, err := engine.RunFSM(nw, func(a *engine.Agent) *engine.Proto[int] {
 			return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				return perceptive.CoordinateStep(a, perceptive.Options{Seed: seed}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
-					start := c.Frame.RoundsUsed()
-					return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
-						return perceptive.RingDistStep(link, c.IsLeader, func(int, bool) (engine.Yield, engine.Cont) {
-							return done(c.Frame.RoundsUsed() - start)
+					start := a.RoundsUsed()
+					return rcomm.EstablishStep(a, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+						return perceptive.RingDistStep(a, link, c.IsLeader, func(int, bool) (engine.Yield, engine.Cont) {
+							return done(a.RoundsUsed() - start)
 						})
 					})
 				})

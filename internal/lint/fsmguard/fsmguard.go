@@ -1,4 +1,4 @@
-// Package fsmguard enforces the single-goroutine contract of the engine's v3
+// Package fsmguard enforces the single-goroutine contract of the engine's
 // FSM scheduler: code reachable from a step handler must never block or
 // synchronise, because every machine in a scenario is stepped by one
 // scheduler goroutine and a blocked handler wedges the whole scenario.
@@ -166,7 +166,7 @@ func scan(pass *analysis.Pass, root ast.Node) {
 	})
 }
 
-// isStepSig reports whether sig marks a v3 step handler: results including
+// isStepSig reports whether sig marks a step handler: results including
 // both engine.Yield and engine.Cont (the CPS form), or the Machine shape
 // Step(engine.Resume) (engine.Yield, bool).
 func isStepSig(sig *types.Signature) bool {

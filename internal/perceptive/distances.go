@@ -93,11 +93,11 @@ func spanToOpposite(dirOf func(label int) ring.Direction, myLabel, n int, myDir 
 // k receives the leader-relative gap vector (g_j is the arc from the agent
 // with label j+1 to the agent with label j+2) and the agent's final ring
 // offset from the reference configuration.
-func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+func DistancesStep(a *engine.Agent, label, n int, k func(gaps []int64, finalOffset int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if label < 1 || label > n || n < 5 {
 		return engine.Abort(fmt.Errorf("%w: label %d of %d", ErrProtocol, label, n))
 	}
-	solver, err := arcsolve.New(n, f.FullCircle())
+	solver, err := arcsolve.New(n, a.FullCircle())
 	if err != nil {
 		return engine.Abort(err)
 	}
@@ -134,12 +134,12 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 	convolutionStep := func(t int, next func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		e := convolutionException(n, t)
 		dirOf := func(l int) ring.Direction { return convolutionDir(l, e) }
-		return f.RoundStep(dirOf(label), func(obs engine.Observation) (engine.Yield, engine.Cont) {
-			if err := record(dirOf, convolutionRotation(n), obs); err != nil {
+		return a.YieldRound(dirOf(label)), func(in engine.Resume) (engine.Yield, engine.Cont) {
+			if err := record(dirOf, convolutionRotation(n), in.Obs[0]); err != nil {
 				return engine.Abort(err)
 			}
 			return next()
-		})
+		}
 	}
 
 	// The paper's main schedule — ⌈n/2⌉ Convolution rounds plus, for even n,
@@ -171,9 +171,9 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 	for t, sr := range sched {
 		dirs[t] = sr.dirOf(label)
 	}
-	return f.RoundScheduleStep(dirs, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	return a.YieldSchedule(dirs), func(in engine.Resume) (engine.Yield, engine.Cont) {
 		for t, sr := range sched {
-			if err := record(sr.dirOf, sr.rotation, trace[t]); err != nil {
+			if err := record(sr.dirOf, sr.rotation, in.Obs[t]); err != nil {
 				return engine.Abort(err)
 			}
 		}
@@ -185,7 +185,7 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 			if solver.Solved() {
 				probeDir = ring.Anticlockwise
 			}
-			return f.RoundPairStep(probeDir, func(probe engine.Observation) (engine.Yield, engine.Cont) {
+			return core.RoundPairStep(a, probeDir, func(probe engine.Observation) (engine.Yield, engine.Cont) {
 				if solver.Solved() && !probe.Collided && probe.Dist == 0 {
 					gaps, err := solver.Gaps()
 					if err != nil {
@@ -202,5 +202,5 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 			})
 		}
 		return loop(0)
-	})
+	}
 }

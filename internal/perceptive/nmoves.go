@@ -36,37 +36,37 @@ var (
 // one leader, flipping exactly that leader yields a nontrivial move, which
 // every agent recognises with Lemma 2.
 //
-// k receives this agent's direction, in its frame, in a round known by every
-// agent to be a nontrivial move.
-func NMoveSStep(f *core.Frame, seed int64, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	if !f.Agent().Model().RevealsCollision() {
+// k receives this agent's direction, in its current sense of direction, in a
+// round known by every agent to be a nontrivial move.
+func NMoveSStep(a *engine.Agent, seed int64, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if !a.Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
-	return f.ClassifyRotationStep(ring.Clockwise, true, func(cls core.RotationClass) (engine.Yield, engine.Cont) {
+	return core.ClassifyRotationStep(a, ring.Clockwise, true, func(cls core.RotationClass) (engine.Yield, engine.Cont) {
 		if cls.Nontrivial() {
 			return k(ring.Clockwise)
 		}
-		return rcomm.EstablishStep(f, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
-			idBits := comb.Bits(f.IDBound())
+		return rcomm.EstablishStep(a, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+			idBits := comb.Bits(a.IDBound())
 			isLeader := true // L_0 contains every agent
 
 			var level func(lvl int) (engine.Yield, engine.Cont)
 			level = func(lvl int) (engine.Yield, engine.Cont) {
 				d := 1 << lvl
-				if d > 2*f.IDBound() {
+				if d > 2*a.IDBound() {
 					return engine.Abort(fmt.Errorf("%w: local-leader hierarchy exceeded the identifier bound", ErrExhausted))
 				}
 				// Thin the leaders: a level-(k-1) leader survives to level k iff
 				// its identifier is maximal among level-(k-1) leaders within ring
 				// distance 2^k.
-				return link.AggregateMaxStep(isLeader, uint64(f.ID()), idBits, d, func(max uint64, found bool) (engine.Yield, engine.Cont) {
-					if isLeader && found && int(max) > f.ID() {
+				return link.AggregateMaxStep(isLeader, uint64(a.ID()), idBits, d, func(max uint64, found bool) (engine.Yield, engine.Cont) {
+					if isLeader && found && int(max) > a.ID() {
 						isLeader = false
 					}
 					// Execute the (N, 2^k)-selective family on the surviving
 					// leaders: leaders contained in the current set flip to
 					// anticlockwise, every other agent stays clockwise.
-					fam, err := comb.NewRandomSelective(f.IDBound(), d, seed^int64(lvl)*0x9e3779b9, 0)
+					fam, err := comb.NewRandomSelective(a.IDBound(), d, seed^int64(lvl)*0x9e3779b9, 0)
 					if err != nil {
 						return engine.Abort(err)
 					}
@@ -76,10 +76,10 @@ func NMoveSStep(f *core.Frame, seed int64, k func(ring.Direction) (engine.Yield,
 							return level(lvl + 1)
 						}
 						dir := ring.Clockwise
-						if isLeader && fam.Contains(i, f.ID()) {
+						if isLeader && fam.Contains(i, a.ID()) {
 							dir = ring.Anticlockwise
 						}
-						return f.ClassifyRotationStep(dir, true, func(cls core.RotationClass) (engine.Yield, engine.Cont) {
+						return core.ClassifyRotationStep(a, dir, true, func(cls core.RotationClass) (engine.Yield, engine.Cont) {
 							if cls.Nontrivial() {
 								return k(dir)
 							}
@@ -112,20 +112,18 @@ func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*core.Coordi
 // election in the perceptive model in O(√n·log N) rounds (Table I, last row),
 // by composing NMoveS with Algorithm 1 and Algorithm 2.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*core.Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	f := core.NewFrame(a)
-	start := f.RoundsUsed()
-	return NMoveSStep(f, opts.Seed, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-		afterNM := f.RoundsUsed()
-		return core.DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-			afterDA := f.RoundsUsed()
-			return core.LeaderElectWithNMStep(f, nmDir, func(isLeader bool) (engine.Yield, engine.Cont) {
+	start := a.RoundsUsed()
+	return NMoveSStep(a, opts.Seed, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+		afterNM := a.RoundsUsed()
+		return core.DirectionAgreementStep(a, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+			afterDA := a.RoundsUsed()
+			return core.LeaderElectWithNMStep(a, nmDir, func(isLeader bool) (engine.Yield, engine.Cont) {
 				return k(&core.Coordination{
-					Frame:            f,
 					IsLeader:         isLeader,
 					NontrivialDir:    nmDir,
 					RoundsNontrivial: afterNM - start,
 					RoundsAgreement:  afterDA - afterNM,
-					RoundsLeader:     f.RoundsUsed() - afterDA,
+					RoundsLeader:     a.RoundsUsed() - afterDA,
 				})
 			})
 		})

@@ -3,7 +3,6 @@ package perceptive
 import (
 	"testing"
 
-	"ringsym/internal/core"
 	"ringsym/internal/engine"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
@@ -22,8 +21,7 @@ func TestNMoveSLocalLeaderHierarchy(t *testing.T) {
 				rounds int
 			}
 			res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-				f := core.NewFrame(a)
-				return NMoveSStep(f, 13, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.RoundsUsed()}) })
+				return NMoveSStep(a, 13, func(dir ring.Direction) (yield, cont) { return k(out{dir, a.RoundsUsed()}) })
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -63,8 +61,7 @@ func TestNMoveSBalancedOrientations(t *testing.T) {
 		flipped bool
 	}
 	res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-		f := core.NewFrame(a)
-		return NMoveSStep(f, 2, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.Flipped()}) })
+		return NMoveSStep(a, 2, func(dir ring.Direction) (yield, cont) { return k(out{dir, a.Flipped()}) })
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func TestNMoveSRequiresPerceptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = run(nw, func(a *engine.Agent, k func(ring.Direction) (yield, cont)) (yield, cont) {
-		return NMoveSStep(core.NewFrame(a), 1, k)
+		return NMoveSStep(a, 1, k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
 		t.Fatalf("got %v, want ErrNeedPerceptive", err)
@@ -80,8 +80,7 @@ func TestNMoveS(t *testing.T) {
 				flipped bool
 			}
 			res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
-				f := core.NewFrame(a)
-				return NMoveSStep(f, 7, func(dir ring.Direction) (yield, cont) { return k(out{dir, f.Flipped()}) })
+				return NMoveSStep(a, 7, func(dir ring.Direction) (yield, cont) { return k(out{dir, a.Flipped()}) })
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -110,7 +109,7 @@ func TestCoordinate(t *testing.T) {
 		}
 		res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
 			return CoordinateStep(a, Options{Seed: 5}, func(c *core.Coordination) (yield, cont) {
-				return k(out{c.IsLeader, c.Frame.Flipped()})
+				return k(out{c.IsLeader, a.Flipped()})
 			})
 		})
 		if err != nil {
@@ -151,10 +150,10 @@ func TestRingDistLabels(t *testing.T) {
 		}
 		res, err := run(nw, func(a *engine.Agent, k func(out) (yield, cont)) (yield, cont) {
 			return CoordinateStep(a, Options{Seed: 9}, func(c *core.Coordination) (yield, cont) {
-				return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (yield, cont) {
-					return RingDistStep(link, c.IsLeader, func(label int, isLast bool) (yield, cont) {
-						return BroadcastSizeStep(c.Frame, isLast, label, func(size int) (yield, cont) {
-							return k(out{c.IsLeader, label, size, c.Frame.Flipped()})
+				return rcomm.EstablishStep(a, func(link *rcomm.Link) (yield, cont) {
+					return RingDistStep(a, link, c.IsLeader, func(label int, isLast bool) (yield, cont) {
+						return BroadcastSizeStep(a, isLast, label, func(size int) (yield, cont) {
+							return k(out{c.IsLeader, label, size, a.Flipped()})
 						})
 					})
 				})
@@ -254,7 +253,7 @@ func TestLocationDiscovery(t *testing.T) {
 func TestDistancesValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 2})
 	_, err := run(nw, func(a *engine.Agent, k func(struct{}) (yield, cont)) (yield, cont) {
-		return DistancesStep(core.NewFrame(a), 0, 6, func([]int64, int) (yield, cont) { return k(struct{}{}) })
+		return DistancesStep(a, 0, 6, func([]int64, int) (yield, cont) { return k(struct{}{}) })
 	})
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("got %v, want ErrProtocol", err)

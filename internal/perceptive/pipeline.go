@@ -47,21 +47,20 @@ func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Disc
 // size broadcast → Distances → per-agent solution of the arc equations.
 func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return CoordinateStep(a, opts, func(coord *core.Coordination) (engine.Yield, engine.Cont) {
-		f := coord.Frame
-		afterCoord := f.RoundsUsed()
+		afterCoord := a.RoundsUsed()
 
 		// The link must be rebuilt because direction agreement may have flipped
-		// the frame after NMoveS's neighbour discovery.
-		return rcomm.EstablishStep(f, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
-			return RingDistStep(link, coord.IsLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
-				return BroadcastSizeStep(f, isLast, label, func(n int) (engine.Yield, engine.Cont) {
+		// the agent after NMoveS's neighbour discovery.
+		return rcomm.EstablishStep(a, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+			return RingDistStep(a, link, coord.IsLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
+				return BroadcastSizeStep(a, isLast, label, func(n int) (engine.Yield, engine.Cont) {
 					if n < 5 || label < 1 || label > n {
 						return engine.Abort(fmt.Errorf("%w: ring distance stage produced label %d, n %d", ErrProtocol, label, n))
 					}
-					afterRingDist := f.RoundsUsed()
+					afterRingDist := a.RoundsUsed()
 
-					return DistancesStep(f, label, n, func(gaps []int64, offset int) (engine.Yield, engine.Cont) {
-						positions, err := relativePositions(f, label, n, gaps, offset)
+					return DistancesStep(a, label, n, func(gaps []int64, offset int) (engine.Yield, engine.Cont) {
+						positions, err := relativePositions(a, label, n, gaps, offset)
 						if err != nil {
 							return engine.Abort(err)
 						}
@@ -73,7 +72,7 @@ func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResul
 							Positions:          positions,
 							RoundsCoordination: afterCoord,
 							RoundsRingDist:     afterRingDist - afterCoord,
-							RoundsDistances:    f.RoundsUsed() - afterRingDist,
+							RoundsDistances:    a.RoundsUsed() - afterRingDist,
 						})
 					})
 				})
@@ -88,14 +87,14 @@ func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResul
 // observations), its current leader-relative slot (label − 1 + offset), and
 // the full slot geometry, so it can identify the slot it started from and
 // read off everybody's initial position.
-func relativePositions(f *core.Frame, label, n int, gaps []int64, offset int) ([]int64, error) {
-	full := f.FullCircle()
+func relativePositions(a *engine.Agent, label, n int, gaps []int64, offset int) ([]int64, error) {
+	full := a.FullCircle()
 	prefix := make([]int64, n)
 	for j := 1; j < n; j++ {
 		prefix[j] = prefix[j-1] + gaps[j-1]
 	}
 	cur := ((label-1+offset)%n + n) % n
-	initialCoord := ((prefix[cur]-f.Displacement())%full + full) % full
+	initialCoord := ((prefix[cur]-a.Displacement())%full + full) % full
 	initIdx := -1
 	for j := 0; j < n; j++ {
 		if prefix[j] == initialCoord {

@@ -16,7 +16,7 @@ import (
 // label n).
 //
 // Preconditions: the perceptive model, an elected unique leader, a common
-// sense of direction (the frame underlying the link is the agreed one) and a
+// sense of direction (the agent's current one is the agreed one) and a
 // configuration-preserving link (as produced by rcomm.EstablishStep after
 // direction agreement).  The algorithm preserves the configuration.
 //
@@ -32,9 +32,8 @@ import (
 //
 // k receives the agent's label and whether it is the last agent (label
 // n).  Cost: O(√n·log N) rounds.
-func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	f := link.Frame()
-	if !f.Agent().Model().RevealsCollision() {
+func RingDistStep(a *engine.Agent, link *rcomm.Link, isLeader bool, k func(label int, isLast bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if !a.Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
 	label := 0
@@ -72,7 +71,7 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 
 		var iter func(kk int) (engine.Yield, engine.Cont)
 		iter = func(kk int) (engine.Yield, engine.Cont) {
-			if kk > 4*f.IDBound() {
+			if kk > 4*a.IDBound() {
 				return engine.Abort(fmt.Errorf("%w: RingDist exceeded the identifier bound", ErrExhausted))
 			}
 			// Phase A: k executions of Shift(-k/2); record the anticlockwise
@@ -80,20 +79,21 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 			// whole phase (labels only change in phase C), so the k rounds are
 			// one leap batch — and so is the undo phase, whose observations are
 			// discarded and therefore only need the aggregate form.
-			return f.RoundNStep(shiftDir(-(kk / 2)), kk, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
+			return a.YieldRoundN(shiftDir(-(kk / 2)), kk), func(in engine.Resume) (engine.Yield, engine.Cont) {
 				ys := make([]int64, 0, kk)
-				for _, obs := range trace {
+				for _, obs := range in.Obs {
 					y := int64(0)
 					if obs.Dist != 0 {
-						y = f.FullCircle() - obs.Dist
+						y = a.FullCircle() - obs.Dist
 					}
 					ys = append(ys, y)
 				}
-				return f.RoundNSumStep(shiftDir(kk/2), kk, func(int64) (engine.Yield, engine.Cont) {
+				return a.YieldRoundSum(shiftDir(kk/2), kk), func(engine.Resume) (engine.Yield, engine.Cont) {
 					// Phase B: Shift(k) yields the first-collision distance z;
 					// Shift(-k) undoes it.
-					return f.RoundStep(shiftDir(kk), func(obsZ engine.Observation) (engine.Yield, engine.Cont) {
-						return f.RoundStep(shiftDir(-kk), func(engine.Observation) (engine.Yield, engine.Cont) {
+					return a.YieldRound(shiftDir(kk)), func(in engine.Resume) (engine.Yield, engine.Cont) {
+						obsZ := in.Obs[0]
+						return a.YieldRound(shiftDir(-kk)), func(engine.Resume) (engine.Yield, engine.Cont) {
 							// Corollary 38: an unlabelled agent has label k + jk
 							// exactly when twice its first-collision distance
 							// equals y_1 + ... + y_j.  Agents that already know
@@ -146,17 +146,17 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 								if isLast && label != 0 {
 									probeDir = ring.Clockwise
 								}
-								return f.RoundPairStep(probeDir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
+								return core.RoundPairStep(a, probeDir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
 									if obs.Dist != 0 {
 										return k(label, isLast)
 									}
 									return iter(kk * 2)
 								})
 							})
-						})
-					})
-				})
-			})
+						}
+					}
+				}
+			}
 		}
 		return iter(2)
 	})
@@ -166,8 +166,8 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 // neighbour) announce the network size n to every agent over the
 // rotation-signalling channel, one bit per paired round, so the configuration
 // is preserved.  Every agent's k receives n.  Cost: 2·⌈log2 N⌉ rounds.
-func BroadcastSizeStep(f *core.Frame, isLast bool, ownLabel int, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	bits := comb.Bits(f.IDBound())
+func BroadcastSizeStep(a *engine.Agent, isLast bool, ownLabel int, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	bits := comb.Bits(a.IDBound())
 	value := uint64(0)
 	if isLast {
 		value = uint64(ownLabel)
@@ -183,10 +183,10 @@ func BroadcastSizeStep(f *core.Frame, isLast bool, ownLabel int, k func(int) (en
 		}
 		dirs = append(dirs, dir, dir.Opposite())
 	}
-	return f.RoundScheduleStep(dirs, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	return a.YieldSchedule(dirs), func(in engine.Resume) (engine.Yield, engine.Cont) {
 		var received uint64
 		for i := 0; i < bits; i++ {
-			if trace[2*i].Dist != 0 {
+			if in.Obs[2*i].Dist != 0 {
 				received |= 1 << i
 			}
 		}
@@ -194,5 +194,5 @@ func BroadcastSizeStep(f *core.Frame, isLast bool, ownLabel int, k func(int) (en
 			return k(ownLabel)
 		}
 		return k(int(received))
-	})
+	}
 }

@@ -3,7 +3,6 @@ package rcomm
 import (
 	"fmt"
 
-	"ringsym/internal/core"
 	"ringsym/internal/engine"
 	"ringsym/internal/ring"
 )
@@ -11,10 +10,11 @@ import (
 // Link is the per-agent handle of the neighbour communication layer.  It is
 // created from the outcome of neighbour discovery and must be used while the
 // ring is in the same configuration (every primitive of this package restores
-// the configuration, so arbitrary Link operations can be chained).  The frame
-// must not be flipped while a Link built from it is still in use.
+// the configuration, so arbitrary Link operations can be chained).  Neighbour
+// sides are relative to the agent's sense of direction at discovery, so the
+// agent must not Flip while a Link built for it is still in use.
 type Link struct {
-	frame *core.Frame
+	agent *engine.Agent
 	nb    Neighbors
 
 	// schedBuf is the schedule scratch reused by the batched exchange
@@ -22,21 +22,18 @@ type Link struct {
 	schedBuf []ring.Direction
 }
 
-// NewLink builds a Link for the given frame from its neighbour information.
-func NewLink(f *core.Frame, nb Neighbors) *Link {
-	return &Link{frame: f, nb: nb}
+// NewLink builds a Link for the given agent from its neighbour information.
+func NewLink(a *engine.Agent, nb Neighbors) *Link {
+	return &Link{agent: a, nb: nb}
 }
 
 // EstablishStep runs neighbour discovery and passes a ready-to-use Link to k
 // (Corollary 32's O(log N) preprocessing).
-func EstablishStep(f *core.Frame, k func(*Link) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return NeighborDiscoveryStep(f, func(nb Neighbors) (engine.Yield, engine.Cont) {
-		return k(NewLink(f, nb))
+func EstablishStep(a *engine.Agent, k func(*Link) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return NeighborDiscoveryStep(a, func(nb Neighbors) (engine.Yield, engine.Cont) {
+		return k(NewLink(a, nb))
 	})
 }
-
-// Frame returns the frame the link operates on.
-func (l *Link) Frame() *core.Frame { return l.frame }
 
 // Neighbors returns the neighbour information the link was built from.
 func (l *Link) Neighbors() Neighbors { return l.nb }
@@ -129,15 +126,15 @@ func (l *Link) ExchangeWordStep(word uint64, bits int, k func(left, right uint64
 		sched = appendBitSchedule(sched, (word>>i)&1)
 	}
 	l.schedBuf = sched
-	return l.frame.RoundScheduleStep(sched, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	return l.agent.YieldSchedule(sched), func(in engine.Resume) (engine.Yield, engine.Cont) {
 		var left, right uint64
 		for i := 0; i < bits; i++ {
-			lb, rb := l.decodeBitExchange((word>>i)&1, trace[4*i], trace[4*i+2])
+			lb, rb := l.decodeBitExchange((word>>i)&1, in.Obs[4*i], in.Obs[4*i+2])
 			left |= uint64(lb) << i
 			right |= uint64(rb) << i
 		}
 		return k(left, right)
-	})
+	}
 }
 
 // ExchangeStep transmits possibly different words to the left and right

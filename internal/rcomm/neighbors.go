@@ -58,8 +58,8 @@ type Neighbors struct {
 // all-anticlockwise round reveals the neighbour's relative orientation.
 //
 // Cost: 4·⌈log2 N⌉ + 4 rounds.  Positions are restored afterwards.
-func NeighborDiscoveryStep(f *core.Frame, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	if !f.Agent().Model().RevealsCollision() {
+func NeighborDiscoveryStep(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if !a.Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
 	type probe struct {
@@ -72,12 +72,12 @@ func NeighborDiscoveryStep(f *core.Frame, k func(Neighbors) (engine.Yield, engin
 		allSame bool
 	}
 
-	bits := comb.Bits(f.IDBound())
+	bits := comb.Bits(a.IDBound())
 	specs := make([]probeSpec, 0, 2*bits+2)
 	for i := 1; i <= bits; i++ {
 		for phase := 0; phase <= 1; phase++ {
 			dir := ring.Anticlockwise
-			if core.IDBit(f.ID(), i) == phase {
+			if core.IDBit(a.ID(), i) == phase {
 				dir = ring.Clockwise
 			}
 			specs = append(specs, probeSpec{dir: dir})
@@ -131,7 +131,7 @@ func NeighborDiscoveryStep(f *core.Frame, k func(Neighbors) (engine.Yield, engin
 			return k(nb)
 		}
 		sp := specs[i]
-		return f.RoundPairStep(sp.dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
+		return core.RoundPairStep(a, sp.dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
 			coll := int64(-1)
 			if obs.Collided {
 				coll = obs.Coll

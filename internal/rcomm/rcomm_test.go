@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"ringsym/internal/core"
 	"ringsym/internal/engine"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
@@ -26,7 +25,7 @@ func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (yield,
 // runLinked is run with a Link established by neighbour discovery first.
 func runLinked[T any](nw *engine.Network, step func(a *engine.Agent, link *Link, k func(T) (yield, cont)) (yield, cont)) (*engine.Result[T], error) {
 	return run(nw, func(a *engine.Agent, k func(T) (yield, cont)) (yield, cont) {
-		return EstablishStep(core.NewFrame(a), func(link *Link) (yield, cont) { return step(a, link, k) })
+		return EstablishStep(a, func(link *Link) (yield, cont) { return step(a, link, k) })
 	})
 }
 
@@ -44,7 +43,7 @@ func checkRejected(t *testing.T, nw *engine.Network, cases []rejection) {
 	for _, tc := range cases {
 		before := nw.Rounds()
 		_, err := run(nw, func(a *engine.Agent, k func(struct{}) (yield, cont)) (yield, cont) {
-			return tc.call(NewLink(core.NewFrame(a), Neighbors{}), func() (yield, cont) { return k(struct{}{}) })
+			return tc.call(NewLink(a, Neighbors{}), func() (yield, cont) { return k(struct{}{}) })
 		})
 		if err == nil {
 			t.Errorf("%s accepted", tc.name)
@@ -96,7 +95,7 @@ func TestNeighborDiscovery(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: seed, MixedChirality: true, ForceSplitChirality: true})
 		res, err := run(nw, func(a *engine.Agent, k func(Neighbors) (yield, cont)) (yield, cont) {
-			return NeighborDiscoveryStep(core.NewFrame(a), k)
+			return NeighborDiscoveryStep(a, k)
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -135,7 +134,7 @@ func TestNeighborDiscoveryRequiresPerceptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = run(nw, func(a *engine.Agent, k func(Neighbors) (yield, cont)) (yield, cont) {
-		return NeighborDiscoveryStep(core.NewFrame(a), k)
+		return NeighborDiscoveryStep(a, k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
 		t.Fatalf("got %v, want ErrNeedPerceptive", err)
