@@ -1,13 +1,11 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"time"
 
@@ -23,35 +21,11 @@ import (
 // cache annotations travel in the records, so a roster of cached daemons
 // yields the same artefact shape as a local -cache on sweep.
 func runFleet(m campaign.Matrix, total int, roster []string, lease int, listen, outDir string, quiet, top bool, eventsPath string) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	jsonlF, err := os.Create(filepath.Join(outDir, "records.jsonl"))
+	sh, err := openShell(outDir, quiet, top, eventsPath)
 	if err != nil {
 		return err
 	}
-	defer jsonlF.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if eventsPath != "" {
-		stopLog, err := startEventLog(ctx, eventsPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stopLog(); err != nil {
-				log.Printf("event log: %v", err)
-			}
-		}()
-	}
-	stopTop := func() {}
-	if top {
-		quiet = true
-		stopTop = startLocalTop(ctx)
-		defer stopTop()
-	}
+	defer sh.close()
 
 	agg := campaign.NewAggregator()
 	cached := false
@@ -60,13 +34,13 @@ func runFleet(m campaign.Matrix, total int, roster []string, lease int, listen, 
 	coord, err := fleet.New(m, fleet.Options{
 		Workers:   roster,
 		LeaseSize: lease,
-		Records:   jsonlF,
+		Records:   sh.records,
 		OnRecord: func(rec campaign.Record) {
 			agg.Add(rec)
 			if rec.Cache != "" {
 				cached = true
 			}
-			if !quiet && time.Since(lastProgress) > 100*time.Millisecond {
+			if !sh.quiet && time.Since(lastProgress) > 100*time.Millisecond {
 				lastProgress = time.Now()
 				elapsed := time.Since(start).Seconds()
 				fmt.Fprintf(os.Stderr, "\rringfarm: %d/%d merged  ok=%d failed=%d unsolvable=%d  %.1f scen/s ",
@@ -89,36 +63,20 @@ func runFleet(m campaign.Matrix, total int, roster []string, lease int, listen, 
 	}
 
 	fmt.Fprintf(os.Stderr, "ringfarm: running %d scenarios on a fleet of %d workers\n", total, len(roster))
-	res, runErr := coord.Run(ctx)
-	if !quiet {
+	res, runErr := coord.Run(sh.ctx)
+	if !sh.quiet {
 		fmt.Fprintln(os.Stderr)
 	}
 	if runErr != nil {
 		return fmt.Errorf("fleet sweep interrupted after %d of %d scenarios", res.Merged, res.Total)
 	}
-	if err := jsonlF.Sync(); err != nil {
+	if err := sh.records.Sync(); err != nil {
 		return err
 	}
-	stopTop()
+	sh.stopTop()
 
-	rows := agg.Summary()
-	csvF, err := os.Create(filepath.Join(outDir, "summary.csv"))
+	md, err := sh.writeSummary(agg.Summary(), cached)
 	if err != nil {
-		return err
-	}
-	defer csvF.Close()
-	var md string
-	if cached {
-		err = campaign.WriteSummaryCSVCache(csvF, rows)
-		md = campaign.FormatSummaryMarkdownCache(rows)
-	} else {
-		err = campaign.WriteSummaryCSV(csvF, rows)
-		md = campaign.FormatSummaryMarkdown(rows)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "summary.md"), []byte(md), 0o644); err != nil {
 		return err
 	}
 

@@ -60,12 +60,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -232,52 +230,25 @@ func usageError(err error) {
 }
 
 func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers int, outDir string, quiet, top bool, eventsPath string, cache *campaign.Cache) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	jsonlF, err := os.Create(filepath.Join(outDir, "records.jsonl"))
+	sh, err := openShell(outDir, quiet, top, eventsPath)
 	if err != nil {
 		return err
 	}
-	defer jsonlF.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// Optional event consumers attach BEFORE the run so the campaign.start
-	// event is theirs too; with neither flag the bus has no subscriber and
-	// every emit site stays a single atomic load.
-	if eventsPath != "" {
-		stopLog, err := startEventLog(ctx, eventsPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stopLog(); err != nil {
-				log.Printf("event log: %v", err)
-			}
-		}()
-	}
-	stopTop := func() {}
-	if top {
-		quiet = true // the top view replaces the one-line ticker
-		stopTop = startLocalTop(ctx)
-		defer stopTop() // idempotent; also called before the summary prints
-	}
+	defer sh.close()
 
 	fmt.Fprintf(os.Stderr, "ringfarm: running %d scenarios (shard %d/%d of %d) on %d workers\n",
 		len(scenarios), shardI, shardM, total, effectiveWorkers(workers, len(scenarios)))
-	writer := campaign.NewOrderedWriter(jsonlF, scenarios)
+	writer := campaign.NewOrderedWriter(sh.records, scenarios)
 	agg := campaign.NewAggregator()
 	start := time.Now()
 	engStart := engine.CounterSnapshot()
 	lastProgress := time.Time{}
-	for rec := range campaign.Run(ctx, scenarios, campaign.Options{Workers: workers, Cache: cache}) {
+	for rec := range campaign.Run(sh.ctx, scenarios, campaign.Options{Workers: workers, Cache: cache}) {
 		if err := writer.Add(rec); err != nil {
 			return err
 		}
 		agg.Add(rec)
-		if !quiet && time.Since(lastProgress) > 100*time.Millisecond {
+		if !sh.quiet && time.Since(lastProgress) > 100*time.Millisecond {
 			lastProgress = time.Now()
 			elapsed := time.Since(start).Seconds()
 			line := fmt.Sprintf("\rringfarm: %d/%d done  ok=%d failed=%d unsolvable=%d  %.1f scen/s",
@@ -291,37 +262,19 @@ func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers i
 			fmt.Fprint(os.Stderr, line, " ")
 		}
 	}
-	if !quiet {
+	if !sh.quiet {
 		fmt.Fprintln(os.Stderr)
 	}
 	if err := writer.Flush(); err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := sh.ctx.Err(); err != nil {
 		return fmt.Errorf("campaign interrupted after %d of %d scenarios", agg.Total, len(scenarios))
 	}
-	stopTop() // final frame before the summary, so the summary stays visible
+	sh.stopTop() // final frame before the summary, so the summary stays visible
 
-	rows := agg.Summary()
-	csvF, err := os.Create(filepath.Join(outDir, "summary.csv"))
+	md, err := sh.writeSummary(agg.Summary(), cache != nil)
 	if err != nil {
-		return err
-	}
-	defer csvF.Close()
-	// The cache-off artefacts must stay byte-identical to cache-less builds,
-	// so the cache columns are emitted only for cached sweeps.
-	var md string
-	if cache != nil {
-		err = campaign.WriteSummaryCSVCache(csvF, rows)
-		md = campaign.FormatSummaryMarkdownCache(rows)
-	} else {
-		err = campaign.WriteSummaryCSV(csvF, rows)
-		md = campaign.FormatSummaryMarkdown(rows)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "summary.md"), []byte(md), 0o644); err != nil {
 		return err
 	}
 

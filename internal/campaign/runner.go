@@ -145,12 +145,10 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Each worker owns one scheduler batch arena for its whole shift:
-			// every FSM run of every scenario this worker executes reuses the
-			// same machine/yield/pending arrays and leap executor, keeping the
-			// block of small-n scenarios cache-resident instead of paying a
-			// pool round-trip (and cold arrays) per scenario.
-			wctx := withNetSlot(engine.WithBatch(ctx, engine.NewBatch()), &netSlot{})
+			// Each goroutine owns one Worker for its whole shift: every
+			// scenario it executes resets the same network, scheduler arena
+			// included, keeping the block of small-n scenarios cache-resident.
+			var wk Worker
 			for block := range feed {
 				for _, sc := range block {
 					// The scenario runs under ctx, so cancellation interrupts an
@@ -160,9 +158,9 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 					// best-effort on a cancelled context (the documented Run
 					// contract): a consumer that keeps draining until close
 					// receives the record unless ctx.Done wins the race.
-					rec := RunScenarioContext(wctx, sc, opts)
+					rec := wk.Run(ctx, sc, opts)
 					n := done.Add(1)
-					if obs.On() && n%checkpointEvery == 0 {
+					if obs.On() && n%CheckpointEvery == 0 {
 						obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: int(n), Total: len(scenarios)})
 					}
 					select {
@@ -189,18 +187,21 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 // short sweeps, large enough to amortise the channel synchronisation.
 const feedChunk = 8
 
-// checkpointEvery is the campaign.checkpoint cadence in completed scenarios:
-// frequent enough that a live view or durability layer tracking checkpoints
-// lags a sweep by well under a second, rare enough to be free next to the
-// per-scenario events.
-const checkpointEvery = 1000
+// CheckpointEvery is the campaign.checkpoint cadence in completed scenarios,
+// shared by local sweeps and the fleet merger: frequent enough that a live
+// view or durability layer tracking checkpoints lags a sweep by well under a
+// second, rare enough to be free next to the per-scenario events.
+const CheckpointEvery = 1000
 
-// emitScenarioDone publishes the completion event for one record:
+// EmitScenarioDone publishes the completion event for one record:
 // scenario.error for failures (with the cause), scenario.finish otherwise.
-// Callers guard with obs.On() to avoid the call itself; the early return
-// keeps the helper correct on its own, so no future call site can build the
-// Event — including its string fields — on a quiet bus.
-func emitScenarioDone(rec Record) {
+// It is the one builder of that event, for local sweeps, cache probes and the
+// fleet merger alike; a merged record's Wall is zero (wall time never travels
+// in JSON), so its event carries no WallMicros.  Callers guard with obs.On()
+// to avoid the call itself; the early return keeps the helper correct on its
+// own, so no future call site can build the Event — including its string
+// fields — on a quiet bus.
+func EmitScenarioDone(rec Record) {
 	if !obs.On() {
 		return
 	}
@@ -279,7 +280,22 @@ func RunScenario(sc Scenario, opts Options) Record {
 // the in-flight protocol is aborted within one round and the scenario is
 // recorded as failed with an error wrapping context.Canceled (or the context's
 // cause), rather than running until the engine's round bound.
-func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Record) {
+func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
+	return new(Worker).Run(ctx, sc, opts)
+}
+
+// Worker runs scenarios one at a time for the goroutine that owns it,
+// keeping one network that it resets in place for every scenario, so the
+// ring state, the agents with their grown scratch buffers and the engine's
+// scheduler arena survive a whole sweep instead of being rebuilt per
+// scenario.  The network grows to the largest n the worker has run.  The
+// zero value is ready to use; a Worker must not be shared between
+// goroutines.
+type Worker struct{ nw *ringsym.Network }
+
+// Run executes one scenario, like RunScenarioContext, on the worker's
+// network.
+func (w *Worker) Run(ctx context.Context, sc Scenario, opts Options) (rec Record) {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()
 	if obs.On() {
@@ -301,7 +317,7 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Rec
 		//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 		rec.Wall = time.Since(start)
 		if obs.On() {
-			emitScenarioDone(rec)
+			EmitScenarioDone(rec)
 		}
 	}()
 	if testHookScenario != nil {
@@ -335,7 +351,7 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Rec
 	}
 
 	if opts.Cache == nil {
-		out, err := runSpec(ctx, spec, gen, sc)
+		out, err := runSpec(ctx, w, spec, gen, sc)
 		if err != nil {
 			rec.Status = StatusFailed
 			rec.Error = err.Error()
@@ -358,10 +374,8 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Rec
 	out, kind, err := opts.Cache.c.Do(ctx, cacheKey(canon.Fingerprint(ccfg), sc), func(cctx context.Context) (task.Outcome, error) {
 		// The computation runs on a cache-owned goroutine that can outlive
 		// this caller (another waiter keeps it alive after a cancellation),
-		// while cctx still carries ctx's values — so the worker-owned arenas
-		// riding in them must be detached here or two goroutines could share
-		// one arena.  The engine falls back to its internal pools.
-		return runSpec(detachWorkerState(cctx), spec, ccfg, sc)
+		// so it must not touch w's network: it builds a fresh one.
+		return runSpec(cctx, nil, spec, ccfg, sc)
 	})
 	if err != nil {
 		rec.Status = StatusFailed
@@ -380,7 +394,7 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Rec
 // cache), or the outcome simply is not there yet.  Nothing executes and no
 // singleflight computation is joined, so a serving layer can answer hits on
 // the request goroutine without occupying a pool worker; every false falls
-// through to RunScenarioContext, which repeats this preparation and handles
+// through to Worker.Run, which repeats this preparation and handles
 // all error reporting.  The repeat is deliberate: generation plus
 // canonicalization costs microseconds against a protocol run's milliseconds,
 // and threading a prepared config into the worker path would couple the two
@@ -417,17 +431,17 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
 	rec.fill(spec.MapOutcome(out, m))
 	rec.Cache = memo.Hit.String()
-	// A probe hit never reaches RunScenarioContext, so its completion event is
+	// A probe hit never reaches Worker.Run, so its completion event is
 	// emitted here: cache-served scenarios stay visible on the event spine.
 	if obs.On() {
-		emitScenarioDone(rec)
+		EmitScenarioDone(rec)
 	}
 	return rec, true
 }
 
 // generateConfig builds the scenario's (possibly phase-rotated/reflected)
 // network configuration.  It is the single source of generation truth for
-// both the execution path (RunScenarioContext) and the cache probe
+// both the execution path (Worker.Run) and the cache probe
 // (ProbeCache): with one copy, the canonical key the probe computes cannot
 // drift from the key the worker stores under when generation inputs change.
 func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config, error) {
@@ -450,56 +464,28 @@ func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config,
 	return gen, nil
 }
 
-// netSlot is a worker-owned network-reuse slot: one facade network, reset in
-// place for every scenario the worker runs, so the ring state, agent objects
-// and their grown scratch buffers survive across a whole sweep instead of
-// being rebuilt per scenario.  A slot is single-threaded, like the engine
-// arena it rides next to in the worker's context.
-type netSlot struct{ nw *ringsym.Network }
-
-type netSlotKey struct{}
-
-// withNetSlot returns a context carrying s; runSpec reuses the slot's network
-// when present.  Pass nil to shadow an inherited slot (detachWorkerState).
-func withNetSlot(ctx context.Context, s *netSlot) context.Context {
-	return context.WithValue(ctx, netSlotKey{}, s)
-}
-
-// detachWorkerState shadows the worker-owned single-threaded state riding in
-// ctx's values (the engine arena and the network slot) so a computation that
-// may run concurrently with — or outlive — the worker cannot share them.
-func detachWorkerState(ctx context.Context) context.Context {
-	return withNetSlot(engine.WithBatch(ctx, nil), nil)
-}
-
-// acquireNetwork returns a network for cfg: the context's slot network, reset
-// in place, when a slot is installed — a fresh one otherwise (and after a
-// failed reset, whose contract leaves the network undefined).
-func acquireNetwork(ctx context.Context, cfg ringsym.Config) (*ringsym.Network, error) {
-	s, _ := ctx.Value(netSlotKey{}).(*netSlot)
-	if s != nil && s.nw != nil {
-		if err := s.nw.Reset(cfg); err == nil {
-			return s.nw, nil
-		}
-		s.nw = nil
+// network returns a network for cfg: w's own network reset in place, or a
+// fresh one when w is nil, on w's first scenario and after a failed reset
+// (whose contract leaves the network undefined).
+func (w *Worker) network(cfg ringsym.Config) (*ringsym.Network, error) {
+	if w != nil && w.nw != nil && w.nw.Reset(cfg) == nil {
+		return w.nw, nil
 	}
 	nw, err := ringsym.NewNetwork(cfg)
-	if err != nil {
-		return nil, err
+	if w != nil {
+		w.nw = nw
 	}
-	if s != nil {
-		s.nw = nw
-	}
-	return nw, nil
+	return nw, err
 }
 
 // runSpec executes the scenario's task on the given configuration through
-// the registry spec: the network is built behind the public facade (whose
-// pipelines verify protocol outcomes against the simulator's ground truth),
-// the spec runs, and the finished outcome is re-checked with the spec's own
-// Verify before it may enter the cache or a record.
-func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario) (task.Outcome, error) {
-	nw, err := acquireNetwork(ctx, ringsym.Config{
+// the registry spec: the network comes from w (see Worker.network) behind
+// the public facade (whose pipelines verify protocol outcomes against the
+// simulator's ground truth), the spec runs, and the finished outcome is
+// re-checked with the spec's own Verify before it may enter the cache or a
+// record.
+func runSpec(ctx context.Context, w *Worker, spec task.Spec, gen engine.Config, sc Scenario) (task.Outcome, error) {
+	nw, err := w.network(ringsym.Config{
 		Model:         gen.Model,
 		Circumference: gen.Circ,
 		Positions:     gen.Positions,

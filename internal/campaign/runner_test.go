@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -308,5 +309,38 @@ func TestRunScenarioWallClock(t *testing.T) {
 	}
 	if rec.Wall <= 0 || rec.Wall > time.Minute {
 		t.Errorf("implausible wall time %v", rec.Wall)
+	}
+}
+
+// TestWorkerReuseMatchesRunScenario pins network reuse inside a Worker: one
+// Worker runs n 32 → 8 → 16, so its network and scheduler arena shrink and
+// regrow within capacity, across every model, both chirality regimes and
+// both paper tasks, and every record marshals byte-identically to a one-shot
+// RunScenario on a fresh network.
+func TestWorkerReuseMatchesRunScenario(t *testing.T) {
+	var w Worker
+	for _, tk := range []Task{TaskCoordinate, TaskDiscover} {
+		for _, model := range []string{"basic", "lazy", "perceptive"} {
+			for _, mixed := range []bool{false, true} {
+				for seed, n := range []int{32, 8, 16} {
+					sc := Scenario{Task: tk, Model: model, N: n, IDBound: 4 * n, MixedChirality: mixed, Seed: int64(seed + 1)}
+					rec := w.Run(context.Background(), sc, Options{})
+					if rec.Status == StatusFailed {
+						t.Fatalf("%s: failed on the worker: %s", sc.Key(), rec.Error)
+					}
+					got, err := json.Marshal(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := json.Marshal(RunScenario(sc, Options{}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: worker record differs from RunScenario:\n got %s\nwant %s", sc.Key(), got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -123,6 +123,10 @@ type Network struct {
 	// goroutine of the network's current run increments it.
 	crossings int
 
+	// arena is the scheduler's scratch (sched.go), reused by every run on
+	// this network; only the current run's goroutine touches it.
+	arena arena
+
 	mu      sync.Mutex // guards running and (between runs) broken
 	running bool
 	broken  error

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ringsym/internal/ring"
@@ -19,32 +20,83 @@ func TestFSMSchedulerEquivalence(t *testing.T) {
 	checkBatchedMatchesExpanded(t, 4242)
 }
 
-// TestFSMBatchReuse pins the WithBatch path: sequential scenarios through one
-// worker-held Batch produce the same results as pool-backed runs.
+// TestFSMBatchReuse pins arena reuse: sequential scenarios of varying n
+// through one network, Reset between trials so its scheduler arena shrinks
+// and regrows within capacity, produce the same results as fresh networks.
 func TestFSMBatchReuse(t *testing.T) {
-	arena := NewBatch()
-	ctx := WithBatch(context.Background(), arena)
+	var reused *Network
 	for trial := 0; trial < 6; trial++ {
 		seed := int64(31*trial) + 7
 		rng := rand.New(rand.NewSource(seed))
 		cfg := leapTestConfig(rng, ring.Perceptive, trial%2 == 0, true)
-		build := func() *Network {
+		if reused == nil {
 			nw, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return nw
+			reused = nw
+		} else if err := reused.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		const ops = 9
-		shared, errS := RunFSMContext(ctx, build(), batchedMachine(seed, ops))
-		pooled, errP := RunFSM(build(), batchedMachine(seed, ops))
-		if errS != nil || errP != nil {
-			t.Fatalf("trial %d: errors shared=%v pooled=%v", trial, errS, errP)
+		shared, errS := RunFSM(reused, batchedMachine(seed, ops))
+		alone, errF := RunFSM(fresh, batchedMachine(seed, ops))
+		if errS != nil || errF != nil {
+			t.Fatalf("trial %d: errors reused=%v fresh=%v", trial, errS, errF)
+		}
+		if shared.Rounds != alone.Rounds {
+			t.Fatalf("trial %d: reused network ran %d rounds, fresh %d", trial, shared.Rounds, alone.Rounds)
 		}
 		for i := range shared.Outputs {
-			if !shared.Outputs[i].equal(pooled.Outputs[i]) {
-				t.Fatalf("trial %d agent %d: shared-arena run differs from pooled run", trial, i)
+			if !shared.Outputs[i].equal(alone.Outputs[i]) {
+				t.Fatalf("trial %d agent %d: reused-network run differs from fresh run", trial, i)
 			}
+		}
+	}
+}
+
+// TestArenaClearedAfterPanicAndReset pins that a run's leftovers do not leak
+// into the next run on the same network: a run whose machines panic leaves
+// step errors in the arena, and a Reset to a smaller n keeps those columns
+// within capacity, so the clean run that follows must start from a cleared
+// arena to match a fresh network.
+func TestArenaClearedAfterPanicAndReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	big := leapTestConfig(rng, ring.Lazy, true, true)
+	nw, err := New(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+		dir := func(int) ring.Direction { panic("machine meltdown") }
+		return perRound(a, 1, dir, nil, a.RoundsUsed)
+	}); !errors.Is(err, ErrProtocolPanic) {
+		t.Fatalf("panicking run: got %v, want ErrProtocolPanic", err)
+	}
+	small := testConfig(ring.Lazy, []bool{true, false, true, true, false})
+	if err := nw.Reset(small); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, ops = 5, 12
+	got, errR := RunFSM(nw, batchedMachine(seed, ops))
+	want, errF := RunFSM(fresh, batchedMachine(seed, ops))
+	if errR != nil || errF != nil {
+		t.Fatalf("clean run: reused=%v fresh=%v", errR, errF)
+	}
+	if got.Rounds != want.Rounds || len(got.Outputs) != len(want.Outputs) {
+		t.Fatalf("clean run: %d rounds/%d outputs, fresh %d/%d", got.Rounds, len(got.Outputs), want.Rounds, len(want.Outputs))
+	}
+	for i := range got.Outputs {
+		if !got.Outputs[i].equal(want.Outputs[i]) {
+			t.Fatalf("agent %d: run after panic and Reset differs from a fresh network", i)
 		}
 	}
 }
@@ -257,25 +309,37 @@ func TestRunContextPreCancelled(t *testing.T) {
 // TestConcurrentRunRejected verifies run exclusivity: a second RunFSM (or a
 // Reset) on a network whose run is still in flight — here started from inside
 // a step of that run — fails with ErrRunInProgress instead of corrupting the
-// shared state, and the network is reusable once the first run finished.
+// shared state, the outer run is untouched by the rejected attempt (its
+// outputs and rounds equal the same protocol on a fresh network), and the
+// network is reusable once the first run finished.
 func TestConcurrentRunRejected(t *testing.T) {
-	nw, err := New(testConfig(ring.Basic, nil))
+	cfg := testConfig(ring.Basic, []bool{true, false, false, true, true})
+	nw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nestedRun, nestedReset error
-	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
-		dir := func(int) ring.Direction {
-			if a.ID() == 7 {
-				_, nestedRun = RunFSM(nw, func(a *Agent) *Proto[int] {
-					return perRound(a, 0, nil, nil, a.RoundsUsed)
-				})
-				nestedReset = nw.Reset(testConfig(ring.Basic, nil))
+	outer := func(nested bool) func(a *Agent) *Proto[[]Observation] {
+		return func(a *Agent) *Proto[[]Observation] {
+			var seen []Observation
+			dir := func(i int) ring.Direction {
+				if nested && a.ID() == 7 && i == 2 {
+					_, nestedRun = RunFSM(nw, func(a *Agent) *Proto[int] {
+						return perRound(a, 0, nil, nil, a.RoundsUsed)
+					})
+					nestedReset = nw.Reset(cfg)
+				}
+				if (a.ID()+i)%3 == 0 {
+					return ring.Anticlockwise
+				}
+				return ring.Clockwise
 			}
-			return ring.Clockwise
+			record := func(_ int, o Observation) { seen = append(seen, o) }
+			return perRound(a, 3+a.ID()%3, dir, record, func() []Observation { return seen })
 		}
-		return perRound(a, 1, dir, nil, a.RoundsUsed)
-	}); err != nil {
+	}
+	got, err := RunFSM(nw, outer(true))
+	if err != nil {
 		t.Fatalf("first run failed: %v", err)
 	}
 	if !errors.Is(nestedRun, ErrRunInProgress) {
@@ -283,6 +347,22 @@ func TestConcurrentRunRejected(t *testing.T) {
 	}
 	if !errors.Is(nestedReset, ErrRunInProgress) {
 		t.Errorf("Reset during a run: got %v, want ErrRunInProgress", nestedReset)
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunFSM(fresh, outer(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rounds != want.Rounds {
+		t.Errorf("outer run: %d rounds, fresh network %d", got.Rounds, want.Rounds)
+	}
+	for i := range want.Outputs {
+		if !slices.Equal(got.Outputs[i], want.Outputs[i]) {
+			t.Errorf("agent %d: outer run observed %v, fresh network %v", i, got.Outputs[i], want.Outputs[i])
+		}
 	}
 	if _, err := RunFSM(nw, func(a *Agent) *Proto[int] {
 		return perRound(a, 1, constDir(ring.Clockwise), nil, a.RoundsUsed)
@@ -418,12 +498,12 @@ func TestFSMMalformedYield(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatch()
-	b.prepare(nw)
 	if err := nw.beginRun(); err != nil {
 		t.Fatal(err)
 	}
 	defer nw.endRun()
+	b := &nw.arena
+	b.prepare(nw)
 	for i := range b.machines {
 		b.machines[i] = &malformedMachine{}
 	}

@@ -7,56 +7,32 @@
 // synchronisation-free by construction (ringvet's fsmguard analyzer holds
 // protocol code to the same standard).
 //
-// Batch is the structure-of-arrays arena behind a scheduler: machine, yield,
-// pending-slot and error columns indexed by ring index, plus the leap
-// executor's buffers.  A campaign worker installs one Batch in its context
-// (WithBatch) and sweeps a block of independent small-n scenarios through it
-// per pass, so consecutive scenarios reuse the same cache-resident arena
-// instead of reallocating per run.
+// The arena is the structure-of-arrays scratch behind the scheduler:
+// machine, pending-slot and error columns indexed by ring index, plus the
+// leap executor's buffers.  Every Network owns one, so a caller that keeps a
+// network across scenarios (a campaign.Worker resets its own per scenario)
+// keeps a cache-resident arena too instead of reallocating it per run.  The
+// Network's one-run-at-a-time rule is what makes the arena single-threaded:
+// a run prepares it only after beginRun succeeded.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
-// Batch is the reusable scenario-batch arena of the scheduler: every
-// per-agent column the scheduler touches, stored structure-of-arrays and
-// resized (capacity-reusing) per run.  A Batch is single-threaded — it must
-// not be shared by concurrent runs — and is either owned by a campaign worker
-// (WithBatch) or borrowed from an internal pool for the duration of one run.
-type Batch struct {
+// arena holds every per-agent column the scheduler touches, stored
+// structure-of-arrays and resized (capacity-reusing) per run.
+type arena struct {
 	x        leapExec  // pending slots + crossing executor
 	machines []Machine // live machines by ring index; nil once terminated
 	stepErr  []error   // terminal step failures (panics, malformed yields)
 }
 
-// NewBatch returns an empty arena; buffers grow on first use.
-func NewBatch() *Batch { return &Batch{} }
-
-// batchPool feeds runs that have no Batch in their context.
-var batchPool = sync.Pool{New: func() any { return NewBatch() }}
-
-type batchCtxKey struct{}
-
-// WithBatch returns a context carrying b: every RunFSMContext under it reuses
-// b's buffers instead of borrowing from the internal pool.  Campaign workers
-// use this to keep one cache-resident arena per worker across a whole block of
-// scenarios.  The Batch is single-threaded; do not share the returned context
-// across concurrently running scenarios.
-func WithBatch(ctx context.Context, b *Batch) context.Context {
-	return context.WithValue(ctx, batchCtxKey{}, b)
-}
-
-// batchFromContext returns the context's Batch, or nil.
-func batchFromContext(ctx context.Context) *Batch {
-	b, _ := ctx.Value(batchCtxKey{}).(*Batch)
-	return b
-}
-
-// prepare (re)sizes the arena for a run on nw, reusing capacity.
-func (b *Batch) prepare(nw *Network) {
+// prepare (re)sizes the arena for a run on nw, reusing capacity.  It is also
+// what clears the previous run's leftovers: a finished run has terminated
+// every machine, but its step errors stay until the next run prepares.
+func (b *arena) prepare(nw *Network) {
 	b.x.init(nw)
 	n := nw.N()
 	if cap(b.machines) < n {
@@ -71,20 +47,11 @@ func (b *Batch) prepare(nw *Network) {
 	}
 }
 
-// release drops the references a finished run left in the arena so a pooled
-// (or worker-held) Batch does not retain protocol state across scenarios.
-func (b *Batch) release() {
-	for i := range b.machines {
-		b.machines[i] = nil
-		b.stepErr[i] = nil
-	}
-}
-
 // stepMachine advances machine i with in: a yield is recorded in the arena and
 // submitted to the executor's pending slot; termination clears the machine.  A
 // panic inside protocol code terminates the machine with ErrProtocolPanic and
 // never reaches the scheduler loop.
-func (b *Batch) stepMachine(i int, in Resume) {
+func (b *arena) stepMachine(i int, in Resume) {
 	m := b.machines[i]
 	if m == nil {
 		return
@@ -115,7 +82,7 @@ func (b *Batch) stepMachine(i int, in Resume) {
 // crossingGuarded is leapExec.crossing with panic conversion: an
 // analytic-engine panic becomes a broken-network run failure that also
 // rejects every later run on the network, instead of unwinding the scheduler.
-func (b *Batch) crossingGuarded(nw *Network) (active int, err error) {
+func (b *arena) crossingGuarded(nw *Network) (active int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			nw.broken = fmt.Errorf("round execution panicked: %v", r)
@@ -130,7 +97,7 @@ func (b *Batch) crossingGuarded(nw *Network) (active int, err error) {
 // The returned error is the run-level failure (max rounds, broken network,
 // cancellation), and it is sticky: once set, every still-pending machine is
 // resumed with it until it terminates.
-func (b *Batch) run(ctx context.Context, nw *Network) error {
+func (b *arena) run(ctx context.Context, nw *Network) error {
 	n := len(b.machines)
 	for i := 0; i < n; i++ {
 		b.stepMachine(i, Resume{})
@@ -219,13 +186,11 @@ func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent)
 	}
 	defer nw.endRun()
 
+	// The arena is prepared only now: a nested run started from inside a step
+	// was rejected by beginRun above and never touches the run in flight.
 	n := nw.N()
 	startRounds := nw.state.Rounds()
-	b := batchFromContext(ctx)
-	pooled := b == nil
-	if pooled {
-		b = batchPool.Get().(*Batch)
-	}
+	b := &nw.arena
 	b.prepare(nw)
 
 	protos := make([]*Proto[T], n)
@@ -245,11 +210,6 @@ func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent)
 		outputs[i] = out
 		errs[i] = err
 	}
-	b.release()
-	if pooled {
-		batchPool.Put(b)
-	}
-
 	res := &Result[T]{Rounds: nw.state.Rounds() - startRounds, Outputs: outputs}
 	return res, joinRunErrors(nw, runErr, errs)
 }

@@ -21,17 +21,18 @@ import (
 	"ringsym/internal/engine"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
+	"ringsym/internal/task"
 )
 
 // Problem identifies one of the paper's problems.
-type Problem = campaign.Problem
+type Problem = task.Problem
 
 // Problems measured by the harness.
 const (
-	LeaderElection     = campaign.LeaderElection
-	NontrivialMove     = campaign.NontrivialMove
-	DirectionAgreement = campaign.DirectionAgreement
-	LocationDiscovery  = campaign.LocationDiscovery
+	LeaderElection     = task.LeaderElection
+	NontrivialMove     = task.NontrivialMove
+	DirectionAgreement = task.DirectionAgreement
+	LocationDiscovery  = task.LocationDiscovery
 )
 
 // Setting identifies a row of Table I / Table II.
@@ -104,11 +105,6 @@ func (c *SweepConfig) fill() {
 	}
 }
 
-// adjustParity nudges n to the parity required by the setting.
-func adjustParity(n int, odd bool) int {
-	return campaign.AdjustParity(n, odd)
-}
-
 // network builds the network for one sample of a setting.
 func network(s Setting, n, idBound int, seed int64) (*engine.Network, error) {
 	cfg, err := netgen.Generate(netgen.Options{
@@ -126,9 +122,9 @@ func network(s Setting, n, idBound int, seed int64) (*engine.Network, error) {
 }
 
 // scenario translates a table setting into a campaign scenario spec.
-func scenario(s Setting, task campaign.Task, n, idBound int, seed int64) campaign.Scenario {
+func scenario(s Setting, kind campaign.Task, n, idBound int, seed int64) campaign.Scenario {
 	return campaign.Scenario{
-		Task:           task,
+		Task:           kind,
 		Model:          s.Model.String(),
 		N:              n,
 		IDBound:        idBound,
@@ -192,12 +188,12 @@ func MeasureLocationDiscovery(s Setting, n, idBound int, seed int64) (total, coo
 }
 
 // Bound returns the paper's asymptotic bound (as a plain formula without the
-// hidden constant) and its human-readable form for a cell.  It delegates to
-// the campaign package, whose tables live in the task registry
-// (internal/task) — the same source every registered task's per-record
-// bound comes from, so the table columns cannot drift from sweep records.
+// hidden constant) and its human-readable form for a cell.  It reads the
+// task registry's tables (internal/task) — the same source every registered
+// task's per-record bound comes from, so the table columns cannot drift from
+// sweep records.
 func Bound(s Setting, p Problem, n, idBound int) (float64, string) {
-	return campaign.Bound(s.Model, s.OddN, s.CommonSense, p, n, idBound)
+	return task.Bound(s.Model, s.OddN, s.CommonSense, p, n, idBound)
 }
 
 // TableRows measures every cell of the given settings for the sweep.  It is
@@ -221,7 +217,7 @@ func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) 
 	var scenarios []campaign.Scenario
 	for _, s := range settings {
 		for _, rawN := range cfg.Sizes {
-			n := adjustParity(rawN, s.OddN)
+			n := campaign.AdjustParity(rawN, s.OddN)
 			idBound := cfg.IDBoundFactor * n
 			cells = append(cells, cell{s: s, n: n})
 			coord := scenario(s, campaign.TaskCoordinate, n, idBound, cfg.Seed)

@@ -9,11 +9,11 @@ import (
 )
 
 func TestAdjustParity(t *testing.T) {
-	if adjustParity(8, false) != 8 || adjustParity(8, true) != 9 {
-		t.Error("adjustParity wrong for 8")
+	if campaign.AdjustParity(8, false) != 8 || campaign.AdjustParity(8, true) != 9 {
+		t.Error("AdjustParity wrong for 8")
 	}
-	if adjustParity(9, true) != 9 || adjustParity(9, false) != 10 {
-		t.Error("adjustParity wrong for 9")
+	if campaign.AdjustParity(9, true) != 9 || campaign.AdjustParity(9, false) != 10 {
+		t.Error("AdjustParity wrong for 9")
 	}
 }
 

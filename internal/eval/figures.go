@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ringsym/internal/campaign"
 	"ringsym/internal/comb"
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
@@ -27,7 +28,7 @@ type Reduction struct {
 // odd n / lazy / perceptive, Figure 2 for the basic model with even n) on a
 // single configuration of the given size.
 func MeasureReductions(s Setting, n, idBound int, seed int64) ([]Reduction, error) {
-	n = adjustParity(n, s.OddN)
+	n = campaign.AdjustParity(n, s.OddN)
 	logN := comb.Log2(float64(idBound))
 
 	// Each probe measures the reduction alone: it starts from the solved
@@ -148,7 +149,7 @@ func MeasureRingDist(sizes []int, idBoundFactor int, seed int64) ([]RingDistSamp
 	}
 	var out []RingDistSample
 	for _, rawN := range sizes {
-		n := adjustParity(rawN, false)
+		n := campaign.AdjustParity(rawN, false)
 		idBound := idBoundFactor * n
 		nw, err := network(Setting{Model: ring.Perceptive}, n, idBound, seed)
 		if err != nil {

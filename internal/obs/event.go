@@ -44,7 +44,7 @@ const (
 
 	// Campaign lifecycle, emitted by the campaign runner per Run call.
 	CampaignStart      Type = "campaign.start"      // Total scenarios
-	CampaignCheckpoint Type = "campaign.checkpoint" // Done of Total, every checkpointEvery records
+	CampaignCheckpoint Type = "campaign.checkpoint" // Done of Total, every campaign.CheckpointEvery records
 	CampaignFinish     Type = "campaign.finish"
 
 	// Memo-cache service events, one per cache operation (no payload beyond

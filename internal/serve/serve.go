@@ -3,8 +3,10 @@
 // of batch sweeps.
 //
 // All requests are batched onto one bounded worker pool — the same substrate
-// the campaign runner uses for offline sweeps — so a burst of clients queues
-// instead of oversubscribing the machine, and every request shares the
+// the campaign runner uses for offline sweeps: each pool goroutine owns a
+// campaign.Worker and reuses its network across requests, exactly as a
+// campaign.Run goroutine does — so a burst of clients queues instead of
+// oversubscribing the machine, and every request shares the
 // optional symmetry-canonical memo cache (internal/memo keyed by
 // internal/canon): two clients asking for rotations of the same ring are
 // served one computation.  Request contexts are threaded through to the
@@ -205,14 +207,18 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// worker is one pool goroutine.  It owns a campaign.Worker, so consecutive
+// scenarios reuse one network sized to the largest n served so far (bounded
+// by Options.MaxN), exactly as the goroutines of a campaign sweep do.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var wk campaign.Worker
 	for {
 		select {
 		case <-s.quit:
 			return
 		case j := <-s.jobs:
-			rec := campaign.RunScenarioContext(j.ctx, j.sc, s.campaignOptions())
+			rec := wk.Run(j.ctx, j.sc, s.campaignOptions())
 			s.pending.Add(-1)
 			s.records.Add(1)
 			if rec.Status == campaign.StatusFailed {

@@ -96,6 +96,37 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunWorkerReusesNetwork: a one-worker daemon answers sequential /v1/run
+// requests of differing n — its pool goroutine resets one network for all
+// of them — with records equal to campaign.RunScenario on fresh networks.
+func TestRunWorkerReusesNetwork(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	scs := []campaign.Scenario{
+		{Task: campaign.TaskDiscover, Model: "perceptive", N: 32, MixedChirality: true, Seed: 1},
+		{Task: campaign.TaskCoordinate, Model: "basic", N: 8, MixedChirality: true, Seed: 2},
+		{Task: campaign.TaskDiscover, Model: "lazy", N: 17, Seed: 3},
+		{Task: campaign.TaskCoordinate, Model: "perceptive", N: 16, Seed: 4},
+		{Task: campaign.TaskDiscover, Model: "basic", N: 9, MixedChirality: true, Seed: 5},
+	}
+	for _, sc := range scs {
+		resp := postJSON(t, ts.URL+"/v1/run", sc)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", sc.Key(), resp.StatusCode)
+		}
+		got := decodeRecord(t, resp)
+		want := sc
+		want.IDBound = 4 * sc.N // the daemon's documented default
+		wantRec := campaign.RunScenario(want, campaign.Options{})
+		wantRec.Wall, got.Wall = 0, 0
+		if !reflect.DeepEqual(got, wantRec) {
+			t.Fatalf("%s: daemon record differs:\n got %+v\nwant %+v", sc.Key(), got, wantRec)
+		}
+		if got.Status != campaign.StatusOK || !got.Verified {
+			t.Fatalf("%s: record not ok: %+v", sc.Key(), got)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	pool, ts := newTestServer(t, serve.Options{Workers: 1})
 	for name, body := range map[string]string{
