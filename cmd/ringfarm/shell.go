@@ -18,9 +18,10 @@ type sweepShell struct {
 	ctx     context.Context
 	outDir  string
 	records *os.File
-	quiet   bool   // -quiet, or implied by -top: the view replaces the ticker
-	stopTop func() // idempotent; draws the final frame before the summary
-	undo    []func()
+	quiet   bool               // -quiet, or implied by -top: the view replaces the ticker
+	stop    context.CancelFunc // releases the interrupt handler
+	stopLog func() error       // nil without -events
+	stopTop func()             // no-op without -top; idempotent, draws the final frame before the summary
 }
 
 // openShell creates the output directory and records.jsonl and attaches the
@@ -34,10 +35,7 @@ func openShell(outDir string, quiet, top bool, eventsPath string) (*sweepShell, 
 		return nil, err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	sh := &sweepShell{
-		ctx: ctx, outDir: outDir, records: records, quiet: quiet, stopTop: func() {},
-		undo: []func(){func() { records.Close() }, stop},
-	}
+	sh := &sweepShell{ctx: ctx, outDir: outDir, records: records, quiet: quiet, stop: stop, stopTop: func() {}}
 	// Optional event consumers attach BEFORE the run so the campaign.start
 	// event is theirs too; with neither flag the bus has no subscriber and
 	// every emit site stays a single atomic load.
@@ -47,25 +45,25 @@ func openShell(outDir string, quiet, top bool, eventsPath string) (*sweepShell, 
 			sh.close()
 			return nil, err
 		}
-		sh.undo = append(sh.undo, func() {
-			if err := stopLog(); err != nil {
-				log.Printf("event log: %v", err)
-			}
-		})
+		sh.stopLog = stopLog
 	}
 	if top {
 		sh.quiet = true
 		sh.stopTop = startLocalTop(ctx)
-		sh.undo = append(sh.undo, sh.stopTop)
 	}
 	return sh, nil
 }
 
 // close releases what openShell acquired, in reverse order.
 func (sh *sweepShell) close() {
-	for i := len(sh.undo) - 1; i >= 0; i-- {
-		sh.undo[i]()
+	sh.stopTop()
+	if sh.stopLog != nil {
+		if err := sh.stopLog(); err != nil {
+			log.Printf("event log: %v", err)
+		}
 	}
+	sh.stop()
+	sh.records.Close()
 }
 
 // writeSummary writes summary.csv and summary.md for rows and returns the

@@ -289,8 +289,10 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
 // ring state, the agents with their grown scratch buffers and the engine's
 // scheduler arena survive a whole sweep instead of being rebuilt per
 // scenario.  The network grows to the largest n the worker has run.  The
-// zero value is ready to use; a Worker must not be shared between
-// goroutines.
+// reuse covers uncached scenarios only: with Options.Cache set, a miss is
+// computed on the cache's goroutine by a Worker of its own, on a fresh
+// network and arena.  The zero value is ready to use; a Worker must not be
+// shared between goroutines.
 type Worker struct{ nw *ringsym.Network }
 
 // Run executes one scenario, like RunScenarioContext, on the worker's
@@ -374,8 +376,9 @@ func (w *Worker) Run(ctx context.Context, sc Scenario, opts Options) (rec Record
 	out, kind, err := opts.Cache.c.Do(ctx, cacheKey(canon.Fingerprint(ccfg), sc), func(cctx context.Context) (task.Outcome, error) {
 		// The computation runs on a cache-owned goroutine that can outlive
 		// this caller (another waiter keeps it alive after a cancellation),
-		// so it must not touch w's network: it builds a fresh one.
-		return runSpec(cctx, nil, spec, ccfg, sc)
+		// so it must not touch w's network: a Worker of its own builds a
+		// fresh network and arena.
+		return runSpec(cctx, new(Worker), spec, ccfg, sc)
 	})
 	if err != nil {
 		rec.Status = StatusFailed
@@ -465,16 +468,14 @@ func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config,
 }
 
 // network returns a network for cfg: w's own network reset in place, or a
-// fresh one when w is nil, on w's first scenario and after a failed reset
-// (whose contract leaves the network undefined).
+// fresh one on w's first scenario and after a failed reset (whose contract
+// leaves the network undefined).
 func (w *Worker) network(cfg ringsym.Config) (*ringsym.Network, error) {
-	if w != nil && w.nw != nil && w.nw.Reset(cfg) == nil {
+	if w.nw != nil && w.nw.Reset(cfg) == nil {
 		return w.nw, nil
 	}
 	nw, err := ringsym.NewNetwork(cfg)
-	if w != nil {
-		w.nw = nw
-	}
+	w.nw = nw
 	return nw, err
 }
 

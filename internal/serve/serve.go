@@ -4,8 +4,9 @@
 //
 // All requests are batched onto one bounded worker pool — the same substrate
 // the campaign runner uses for offline sweeps: each pool goroutine owns a
-// campaign.Worker and reuses its network across requests, exactly as a
-// campaign.Run goroutine does — so a burst of clients queues instead of
+// campaign.Worker, exactly as a campaign.Run goroutine does, and reuses its
+// network across uncached requests (ringd -cache off; a cache miss computes
+// on a fresh network) — so a burst of clients queues instead of
 // oversubscribing the machine, and every request shares the
 // optional symmetry-canonical memo cache (internal/memo keyed by
 // internal/canon): two clients asking for rotations of the same ring are
@@ -207,9 +208,10 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// worker is one pool goroutine.  It owns a campaign.Worker, so consecutive
-// scenarios reuse one network sized to the largest n served so far (bounded
-// by Options.MaxN), exactly as the goroutines of a campaign sweep do.
+// worker is one pool goroutine.  It owns a campaign.Worker, as the goroutines
+// of a campaign sweep do, so consecutive uncached scenarios reuse one network
+// sized to the largest n served so far (bounded by Options.MaxN); with
+// Options.Cache set, each miss computes on a fresh network instead.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	var wk campaign.Worker
