@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -51,12 +52,12 @@ func main() {
 	cfg := eval.SweepConfig{Sizes: ns, IDBoundFactor: *idFactor, Seed: *seed}
 
 	if *tables {
-		rows1, err := eval.TableRows(eval.Table1Settings(), cfg)
+		rows1, err := eval.TableRows(context.Background(), eval.Table1Settings(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(eval.Format("Table I - deterministic solutions in the general setting", rows1))
-		rows2, err := eval.TableRows(eval.Table2Settings(), cfg)
+		rows2, err := eval.TableRows(context.Background(), eval.Table2Settings(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

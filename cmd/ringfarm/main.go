@@ -65,7 +65,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -237,7 +236,7 @@ func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers i
 	defer sh.close()
 
 	fmt.Fprintf(os.Stderr, "ringfarm: running %d scenarios (shard %d/%d of %d) on %d workers\n",
-		len(scenarios), shardI, shardM, total, effectiveWorkers(workers, len(scenarios)))
+		len(scenarios), shardI, shardM, total, campaign.PoolSize(workers, len(scenarios)))
 	writer := campaign.NewOrderedWriter(sh.records, scenarios)
 	agg := campaign.NewAggregator()
 	start := time.Now()
@@ -302,18 +301,6 @@ func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers i
 		return fmt.Errorf("%d scenarios failed (see %s)", agg.Failed, filepath.Join(outDir, "records.jsonl"))
 	}
 	return nil
-}
-
-// effectiveWorkers mirrors the pool sizing of campaign.Run: GOMAXPROCS by
-// default, never more workers than scenarios.
-func effectiveWorkers(w, scenarios int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > scenarios && scenarios > 0 {
-		w = scenarios
-	}
-	return w
 }
 
 // buildMatrix assembles the campaign matrix from a spec file or flags.

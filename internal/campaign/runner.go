@@ -16,7 +16,6 @@ import (
 	"ringsym/internal/memo"
 	"ringsym/internal/netgen"
 	"ringsym/internal/obs"
-	"ringsym/internal/ring"
 	"ringsym/internal/task"
 )
 
@@ -95,8 +94,8 @@ type Options struct {
 	Cache *Cache
 }
 
-// testHookScenario, when set, runs inside the worker just before a scenario
-// executes; tests use it to inject panics.
+// testHookScenario, when set, runs inside the worker between a scenario's
+// preparation and its execution; tests use it to inject panics.
 var testHookScenario func(Scenario)
 
 // Run executes the scenarios on a pool of workers and streams one Record per
@@ -106,13 +105,7 @@ var testHookScenario func(Scenario)
 // inside one scenario is isolated: it becomes a failed record and the sweep
 // continues.
 func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) && len(scenarios) > 0 {
-		workers = len(scenarios)
-	}
+	workers := PoolSize(opts.Workers, len(scenarios))
 	out := make(chan Record)
 	feed := make(chan []Scenario)
 	if opts.Cache != nil {
@@ -180,6 +173,18 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 		close(out)
 	}()
 	return out
+}
+
+// PoolSize is the pool size Run uses for n scenarios: workers, or
+// GOMAXPROCS when workers <= 0, and never more than n when n > 0.
+func PoolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n && n > 0 {
+		workers = n
+	}
+	return workers
 }
 
 // feedChunk is the number of consecutive scenarios handed to a worker per
@@ -281,18 +286,18 @@ func RunScenario(sc Scenario, opts Options) Record {
 // recorded as failed with an error wrapping context.Canceled (or the context's
 // cause), rather than running until the engine's round bound.
 func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
-	return new(Worker).Run(ctx, sc, opts)
+	var w Worker
+	return w.Run(ctx, sc, opts)
 }
 
 // Worker runs scenarios one at a time for the goroutine that owns it,
 // keeping one network that it resets in place for every scenario, so the
 // ring state, the agents with their grown scratch buffers and the engine's
 // scheduler arena survive a whole sweep instead of being rebuilt per
-// scenario.  The network grows to the largest n the worker has run.  The
-// reuse covers uncached scenarios only: with Options.Cache set, a miss is
-// computed on the cache's goroutine by a Worker of its own, on a fresh
-// network and arena.  The zero value is ready to use; a Worker must not be
-// shared between goroutines.
+// scenario.  The network grows to the largest n the worker has run.  Cached
+// and uncached scenarios alike run on it: a cache miss computes on the
+// caller's goroutine (see memo.Cache.Do), so on this worker.  The zero value
+// is ready to use; a Worker must not be shared between goroutines.
 type Worker struct{ nw *ringsym.Network }
 
 // Run executes one scenario, like RunScenarioContext, on the worker's
@@ -309,12 +314,7 @@ func (w *Worker) Run(ctx context.Context, sc Scenario, opts Options) (rec Record
 	rec = Record{Scenario: sc}
 	defer func() {
 		if r := recover(); r != nil {
-			rec = Record{Scenario: sc, Status: StatusFailed, Error: fmt.Sprintf("panic: %v", r)}
-			if model, err := ParseModel(sc.Model); err == nil {
-				if spec, err := task.Lookup(string(sc.Task)); err == nil {
-					rec.Bound, rec.BoundStr = spec.Bound(model, sc.N%2 == 1, sc.CommonSense, sc.N, sc.IDBound)
-				}
-			}
+			rec = Record{Scenario: sc, Status: StatusFailed, Error: fmt.Sprintf("panic: %v", r), Bound: rec.Bound, BoundStr: rec.BoundStr}
 		}
 		//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 		rec.Wall = time.Since(start)
@@ -322,38 +322,16 @@ func (w *Worker) Run(ctx context.Context, sc Scenario, opts Options) (rec Record
 			EmitScenarioDone(rec)
 		}
 	}()
+	p, ok := prepare(&rec, opts)
+	if !ok {
+		return rec
+	}
 	if testHookScenario != nil {
 		testHookScenario(sc)
 	}
 
-	model, err := ParseModel(sc.Model)
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-	spec, err := task.Lookup(string(sc.Task))
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-	oddN := sc.N%2 == 1
-	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
-	if !spec.Solvable(model, oddN) {
-		rec.Status = StatusUnsolvable
-		return rec
-	}
-
-	gen, err := generateConfig(sc, opts, model)
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-
 	if opts.Cache == nil {
-		out, err := runSpec(ctx, w, spec, gen, sc)
+		out, err := runSpec(ctx, w, p.spec, p.gen, sc)
 		if err != nil {
 			rec.Status = StatusFailed
 			rec.Error = err.Error()
@@ -367,25 +345,15 @@ func (w *Worker) Run(ctx context.Context, sc Scenario, opts Options) (rec Record
 	// orbit (so every orbit member computes the identical stored outcome) and
 	// translate the result back into this scenario's frame through the task's
 	// MapOutcome.
-	ccfg, m, err := canon.Canonicalize(gen)
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-	out, kind, err := opts.Cache.c.Do(ctx, cacheKey(canon.Fingerprint(ccfg), sc), func(cctx context.Context) (task.Outcome, error) {
-		// The computation runs on a cache-owned goroutine that can outlive
-		// this caller (another waiter keeps it alive after a cancellation),
-		// so it must not touch w's network: a Worker of its own builds a
-		// fresh network and arena.
-		return runSpec(cctx, new(Worker), spec, ccfg, sc)
+	out, kind, err := opts.Cache.c.Do(ctx, p.key, func(cctx context.Context) (task.Outcome, error) {
+		return runSpec(cctx, w, p.spec, p.ccfg, sc)
 	})
 	if err != nil {
 		rec.Status = StatusFailed
 		rec.Error = err.Error()
 		return rec
 	}
-	rec.fill(spec.MapOutcome(out, m))
+	rec.fill(p.spec.MapOutcome(out, p.m))
 	rec.Cache = kind.String()
 	return rec
 }
@@ -397,42 +365,22 @@ func (w *Worker) Run(ctx context.Context, sc Scenario, opts Options) (rec Record
 // cache), or the outcome simply is not there yet.  Nothing executes and no
 // singleflight computation is joined, so a serving layer can answer hits on
 // the request goroutine without occupying a pool worker; every false falls
-// through to Worker.Run, which repeats this preparation and handles
-// all error reporting.  The repeat is deliberate: generation plus
-// canonicalization costs microseconds against a protocol run's milliseconds,
-// and threading a prepared config into the worker path would couple the two
-// call sites for a rounding-error saving on the (uncached) slow path.
+// through to Worker.Run, which repeats the preparation and handles all
+// error reporting.
 func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	if opts.Cache == nil {
 		return Record{}, false
 	}
-	model, err := ParseModel(sc.Model)
-	if err != nil {
-		return Record{}, false
-	}
-	spec, err := task.Lookup(string(sc.Task))
-	if err != nil {
-		return Record{}, false
-	}
-	oddN := sc.N%2 == 1
-	if !spec.Solvable(model, oddN) {
-		return Record{}, false
-	}
-	gen, err := generateConfig(sc, opts, model)
-	if err != nil {
-		return Record{}, false
-	}
-	ccfg, m, err := canon.Canonicalize(gen)
-	if err != nil {
-		return Record{}, false
-	}
-	out, ok := opts.Cache.c.Get(cacheKey(canon.Fingerprint(ccfg), sc))
+	rec := Record{Scenario: sc}
+	p, ok := prepare(&rec, opts)
 	if !ok {
 		return Record{}, false
 	}
-	rec := Record{Scenario: sc}
-	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
-	rec.fill(spec.MapOutcome(out, m))
+	out, ok := opts.Cache.c.Get(p.key)
+	if !ok {
+		return Record{}, false
+	}
+	rec.fill(p.spec.MapOutcome(out, p.m))
 	rec.Cache = memo.Hit.String()
 	// A probe hit never reaches Worker.Run, so its completion event is
 	// emitted here: cache-served scenarios stay visible on the event spine.
@@ -442,13 +390,48 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	return rec, true
 }
 
-// generateConfig builds the scenario's (possibly phase-rotated/reflected)
-// network configuration.  It is the single source of generation truth for
-// both the execution path (Worker.Run) and the cache probe
-// (ProbeCache): with one copy, the canonical key the probe computes cannot
-// drift from the key the worker stores under when generation inputs change.
-func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config, error) {
-	gen, err := netgen.Generate(netgen.Options{
+// prepared is a scenario ready to execute: its task spec, its generated
+// (possibly phase-rotated/reflected) configuration and, with a cache, the
+// canonical representative of that configuration's orbit, the frame map
+// back to the scenario and the cache key.
+type prepared struct {
+	spec task.Spec
+	gen  engine.Config
+	ccfg engine.Config
+	m    canon.Map
+	key  string
+}
+
+// prepare runs every step that precedes execution: parse the model, look up
+// the task, compute the bound, check solvability, generate the
+// configuration and, when opts carries a cache, canonicalize it and build
+// the key.  It is the single source of that truth for both the execution
+// path (Worker.Run) and the cache probe (ProbeCache): with one copy, the key
+// the probe looks up cannot drift from the key the worker stores under.  The
+// bound is set on rec as soon as the model and task are known; ok is false,
+// with rec's status set, when the scenario fails or is unsolvable before
+// anything runs.
+func prepare(rec *Record, opts Options) (p prepared, ok bool) {
+	sc := rec.Scenario
+	fail := func(err error) (prepared, bool) {
+		rec.Status = StatusFailed
+		rec.Error = err.Error()
+		return prepared{}, false
+	}
+	model, err := ParseModel(sc.Model)
+	if err != nil {
+		return fail(err)
+	}
+	if p.spec, err = task.Lookup(string(sc.Task)); err != nil {
+		return fail(err)
+	}
+	oddN := sc.N%2 == 1
+	rec.Bound, rec.BoundStr = p.spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
+	if !p.spec.Solvable(model, oddN) {
+		rec.Status = StatusUnsolvable
+		return prepared{}, false
+	}
+	p.gen, err = netgen.Generate(netgen.Options{
 		N:                   sc.N,
 		IDBound:             sc.IDBound,
 		Circ:                opts.Circ,
@@ -459,12 +442,21 @@ func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config,
 		MaxRounds:           opts.MaxRounds,
 	})
 	if err != nil {
-		return engine.Config{}, err
+		return fail(err)
 	}
 	if sc.Phase != 0 || sc.Reflect {
-		return canon.Transform(gen, sc.Phase, sc.Reflect)
+		if p.gen, err = canon.Transform(p.gen, sc.Phase, sc.Reflect); err != nil {
+			return fail(err)
+		}
 	}
-	return gen, nil
+	if opts.Cache == nil {
+		return p, true
+	}
+	if p.ccfg, p.m, err = canon.Canonicalize(p.gen); err != nil {
+		return fail(err)
+	}
+	p.key = cacheKey(canon.Fingerprint(p.ccfg), sc)
+	return p, true
 }
 
 // network returns a network for cfg: w's own network reset in place, or a

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ringsym"
 )
 
 // smallMatrix is a fast sweep touching all models, both parities and both
@@ -316,28 +318,45 @@ func TestRunScenarioWallClock(t *testing.T) {
 // Worker runs n 32 → 8 → 16, so its network and scheduler arena shrink and
 // regrow within capacity, across every model, both chirality regimes and
 // both paper tasks, and every record marshals byte-identically to a one-shot
-// RunScenario on a fresh network.
+// RunScenario on a fresh network.  The cached pass runs the same scenarios as
+// cache misses: each computes on the worker's own network, and the records
+// equal the uncached ones apart from the cache annotation.
 func TestWorkerReuseMatchesRunScenario(t *testing.T) {
-	var w Worker
-	for _, tk := range []Task{TaskCoordinate, TaskDiscover} {
-		for _, model := range []string{"basic", "lazy", "perceptive"} {
-			for _, mixed := range []bool{false, true} {
-				for seed, n := range []int{32, 8, 16} {
-					sc := Scenario{Task: tk, Model: model, N: n, IDBound: 4 * n, MixedChirality: mixed, Seed: int64(seed + 1)}
-					rec := w.Run(context.Background(), sc, Options{})
-					if rec.Status == StatusFailed {
-						t.Fatalf("%s: failed on the worker: %s", sc.Key(), rec.Error)
-					}
-					got, err := json.Marshal(rec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := json.Marshal(RunScenario(sc, Options{}))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s: worker record differs from RunScenario:\n got %s\nwant %s", sc.Key(), got, want)
+	for _, opts := range []Options{{}, {Cache: NewCache(0)}} {
+		var w Worker
+		var nw *ringsym.Network
+		for _, tk := range []Task{TaskCoordinate, TaskDiscover} {
+			for _, model := range []string{"basic", "lazy", "perceptive"} {
+				for _, mixed := range []bool{false, true} {
+					for seed, n := range []int{32, 8, 16} {
+						sc := Scenario{Task: tk, Model: model, N: n, IDBound: 4 * n, MixedChirality: mixed, Seed: int64(seed + 1)}
+						rec := w.Run(context.Background(), sc, opts)
+						if rec.Status == StatusFailed {
+							t.Fatalf("%s: failed on the worker: %s", sc.Key(), rec.Error)
+						}
+						if opts.Cache != nil && rec.Status != StatusUnsolvable {
+							if rec.Cache != "miss" {
+								t.Fatalf("%s: cache = %q, want miss", sc.Key(), rec.Cache)
+							}
+							if nw == nil {
+								nw = w.nw
+							}
+							if nw == nil || w.nw != nw {
+								t.Fatalf("%s: the cache miss did not compute on the worker's network", sc.Key())
+							}
+							rec.Cache = ""
+						}
+						got, err := json.Marshal(rec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := json.Marshal(RunScenario(sc, Options{}))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: worker record differs from RunScenario:\n got %s\nwant %s", sc.Key(), got, want)
+						}
 					}
 				}
 			}

@@ -89,11 +89,6 @@ type SweepConfig struct {
 	IDBoundFactor int
 	// Seed drives the pseudo-random configurations and schedules.
 	Seed int64
-	// Cache, when non-nil, memoises scenario outcomes under their canonical
-	// symmetry key (see internal/canon): repeated table regenerations — for
-	// example inside a long-lived serving process — reuse earlier
-	// computations instead of re-running every protocol.
-	Cache *campaign.Cache
 }
 
 func (c *SweepConfig) fill() {
@@ -199,15 +194,10 @@ func Bound(s Setting, p Problem, n, idBound int) (float64, string) {
 // TableRows measures every cell of the given settings for the sweep.  It is
 // a thin pre-baked campaign: the settings expand into one coordinate and one
 // discover scenario per (setting, size) cell, run on the campaign worker
-// pool, and the records are folded back into table measurements.
-func TableRows(settings []Setting, cfg SweepConfig) ([]Measurement, error) {
-	//ringvet:allow ctxflow context-free compatibility wrapper: TableRowsContext is the cancellable form
-	return TableRowsContext(context.Background(), settings, cfg)
-}
-
-// TableRowsContext is TableRows with cancellation: a cancelled ctx aborts
-// in-flight scenarios within one round and returns the context error.
-func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) ([]Measurement, error) {
+// pool, and the records are folded back into table measurements.  A
+// cancelled ctx aborts in-flight scenarios within one round and returns the
+// context error.
+func TableRows(ctx context.Context, settings []Setting, cfg SweepConfig) ([]Measurement, error) {
 	cfg.fill()
 	type cell struct {
 		s Setting
@@ -228,7 +218,7 @@ func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) 
 			scenarios = append(scenarios, disc)
 		}
 	}
-	recs, err := campaign.RunAll(ctx, scenarios, campaign.Options{Cache: cfg.Cache})
+	recs, err := campaign.RunAll(ctx, scenarios, campaign.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("eval: campaign: %w", err)
 	}

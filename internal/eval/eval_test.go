@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestBoundFormulas(t *testing.T) {
 // about n in the lazy model and about n/2 (plus overhead) in the perceptive
 // model, and the basic model with even n cannot solve location discovery.
 func TestTable1SmallSweep(t *testing.T) {
-	rows, err := TableRows(Table1Settings(), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
+	rows, err := TableRows(context.Background(), Table1Settings(), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestTable1SmallSweep(t *testing.T) {
 }
 
 func TestTable2SmallSweep(t *testing.T) {
-	rows, err := TableRows(Table2Settings(), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
+	rows, err := TableRows(context.Background(), Table2Settings(), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,37 +150,5 @@ func TestMeasureDistinguishers(t *testing.T) {
 	}
 	if s := FormatDistinguishers(samples); !strings.Contains(s, "lower bound") {
 		t.Error("FormatDistinguishers output malformed")
-	}
-}
-
-// TestTableRowsCached: a table sweep with the memo cache produces the same
-// measurements as the uncached sweep, and a second regeneration over the
-// same cache is served from it (one miss per scenario, then all hits).
-func TestTableRowsCached(t *testing.T) {
-	cfg := SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 5}
-	plain, err := TableRows(Table1Settings(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = campaign.NewCache(0)
-	first, err := TableRows(Table1Settings(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := TableRows(Table1Settings(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(plain) || len(again) != len(plain) {
-		t.Fatalf("measurement counts differ: %d/%d vs %d", len(first), len(again), len(plain))
-	}
-	for i := range plain {
-		if first[i] != plain[i] || again[i] != plain[i] {
-			t.Errorf("measurement %d differs across cache modes:\nplain %+v\nfirst %+v\nagain %+v", i, plain[i], first[i], again[i])
-		}
-	}
-	st := cfg.Cache.Stats()
-	if st.Misses == 0 || st.Hits < st.Misses {
-		t.Fatalf("second regeneration not served from the cache: %+v", st)
 	}
 }

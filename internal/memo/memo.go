@@ -8,6 +8,8 @@
 //     capacity evicts the least recently used entry of that shard.
 //   - Singleflight: concurrent Do calls for the same key run the computation
 //     once; late arrivals join the in-flight call instead of recomputing.
+//     The first caller, the leader, runs the tier lookup and the computation
+//     on its own goroutine.
 //   - Cooperative cancellation: the computation runs under a context that is
 //     cancelled only when every request that joined the call has been
 //     cancelled.  One impatient client cannot abort a result that other
@@ -16,8 +18,8 @@
 //
 // Errors are never cached: a failed computation (including a cancelled one)
 // is retried by the next Do for the key.  A computation that panics is
-// contained — the panic is delivered to every joined caller as an error, not
-// re-raised on the cache's internal goroutine.
+// contained — the panic is delivered to every joined caller, the leader
+// included, as an error.
 //
 // A Cache can carry a second level below the memory LRU (SetTier): on a
 // memory miss the singleflight leader consults the tier — typically the
@@ -189,7 +191,6 @@ type call[V any] struct {
 	done     chan struct{}
 	val      V
 	err      error
-	kind     Kind // how the leader resolved: Miss, DiskHit or PeerHit
 	waiters  int
 	finished bool
 	cancel   context.CancelFunc
@@ -239,8 +240,10 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // a context that is cancelled when every caller that joined this computation
 // has been cancelled; its successful result is cached (evicting LRU entries
 // past the capacity), its error is returned to every joined caller and not
-// cached.  When ctx is cancelled while waiting, Do returns ctx.Err() without
-// waiting for fn.
+// cached.  The leader runs fn on its own goroutine and returns fn's result:
+// when its ctx is cancelled it withdraws its interest, as a joined caller
+// does, but still returns only once fn has.  A joined caller whose ctx is
+// cancelled returns ctx.Err() without waiting for fn.
 func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, Kind, error) {
 	s := c.shardOf(key)
 	s.mu.Lock()
@@ -269,112 +272,117 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 	s.mu.Unlock()
 	tier := c.getTier()
 
-	go func() {
-		var v V
-		var err error
-		kind := Miss
-		// The tier lookup and the computation run on this cache-owned
-		// goroutine, outside any recover the caller installed on its own
-		// stack; contain panics here so one bad computation becomes an
-		// error for the joined waiters instead of killing the process (and
-		// leaving done never closed).
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("memo: computation panicked: %v", r)
-				}
-			}()
-			if tier != nil {
-				if tv, tk, ok := tier.Load(cctx, key); ok {
-					v = tv
-					if tk == PeerHit {
-						kind = PeerHit
-					} else {
-						kind = DiskHit
-					}
-					return
-				}
-			}
-			v, err = fn(cctx)
-		}()
-		// Counting happens at resolution time, by how the call actually
-		// resolved: a tier promotion is a disk/peer hit, never a miss —
-		// misses count executed computations (successful or not), so the
-		// miss counter remains the exact "work we could not avoid" gauge.
-		switch {
-		case err == nil && kind == DiskHit:
-			c.diskHits.Add(1)
-			totDiskHits.Add(1)
-		case err == nil && kind == PeerHit:
-			c.peerHits.Add(1)
-			totPeerHits.Add(1)
-		default:
-			c.misses.Add(1)
-			note(totMisses, obs.CacheMiss)
-		}
-		// Write a freshly computed value through to the tier before
-		// publishing it, outside the shard lock (the tier does disk and
-		// network I/O).  Tier-served values are not re-offered: the disk
-		// tier already has them, and peer hits were written through to the
-		// local store by the tier itself.
-		if err == nil && kind == Miss && tier != nil {
-			tier.Store(key, v)
-		}
-		s.mu.Lock()
-		cl.finished = true
-		cl.val, cl.err, cl.kind = v, err, kind
-		// An abandoned call was already deregistered by its last waiter and
-		// may have been replaced by a fresh one; only remove our own entry.
-		if s.inflight[key] == cl {
-			delete(s.inflight, key)
-		}
-		if err == nil {
-			c.insertLocked(s, key, v)
-		}
-		s.mu.Unlock()
-		cancel()
-		close(cl.done)
-	}()
-
-	v, err := c.wait(ctx, s, key, cl)
-	// The resolved kind is published only at done; a waiter that bailed on
-	// ctx cancellation reports Miss (the zero value it returns with).
-	kind := Miss
-	select {
-	case <-cl.done:
-		kind = cl.kind
-	default:
+	// The leader withdraws its interest on cancellation exactly as a joined
+	// caller does, but keeps computing: the computation stops only when
+	// every caller has gone, and the leader returns when it has.  A ctx
+	// that is already done withdraws before computing, so the computation
+	// starts cancelled instead of racing an asynchronous withdrawal.
+	if ctx.Err() != nil {
+		c.leave(s, key, cl)
+	} else {
+		defer context.AfterFunc(ctx, func() { c.leave(s, key, cl) })()
 	}
+
+	var v V
+	var err error
+	kind := Miss
+	// Contain panics in the tier lookup and the computation: one bad
+	// computation becomes an error for every joined caller, leader
+	// included, instead of leaving done never closed.
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("memo: computation panicked: %v", r)
+			}
+		}()
+		if tier != nil {
+			if tv, tk, ok := tier.Load(cctx, key); ok {
+				v = tv
+				if tk == PeerHit {
+					kind = PeerHit
+				} else {
+					kind = DiskHit
+				}
+				return
+			}
+		}
+		v, err = fn(cctx)
+	}()
+	// Counting happens at resolution time, by how the call actually
+	// resolved: a tier promotion is a disk/peer hit, never a miss — misses
+	// count executed computations (successful or not), so the miss counter
+	// remains the exact "work we could not avoid" gauge.
+	switch {
+	case err == nil && kind == DiskHit:
+		c.diskHits.Add(1)
+		totDiskHits.Add(1)
+	case err == nil && kind == PeerHit:
+		c.peerHits.Add(1)
+		totPeerHits.Add(1)
+	default:
+		c.misses.Add(1)
+		note(totMisses, obs.CacheMiss)
+	}
+	// Write a freshly computed value through to the tier before publishing
+	// it, outside the shard lock (the tier does disk and network I/O).
+	// Tier-served values are not re-offered: the disk tier already has
+	// them, and peer hits were written through to the local store by the
+	// tier itself.
+	if err == nil && kind == Miss && tier != nil {
+		tier.Store(key, v)
+	}
+	s.mu.Lock()
+	cl.finished = true
+	cl.val, cl.err = v, err
+	// An abandoned call was already deregistered by its last caller and may
+	// have been replaced by a fresh one; only remove our own entry.
+	if s.inflight[key] == cl {
+		delete(s.inflight, key)
+	}
+	if err == nil {
+		c.insertLocked(s, key, v)
+	}
+	s.mu.Unlock()
+	cancel()
+	close(cl.done)
 	return v, kind, err
 }
 
-// wait blocks until the call completes or ctx is cancelled.  A cancelled
-// waiter deregisters its interest; the last deregistration cancels the
-// computation itself and removes it from the in-flight table, so a later Do
-// for the key starts a fresh computation instead of joining a dying one.
+// wait blocks a joined caller until the call completes or ctx is cancelled.
+// A cancelled caller withdraws (see leave) and returns ctx.Err(), unless the
+// computation has already finished, in which case it takes the result.
 func (c *Cache[V]) wait(ctx context.Context, s *shard[V], key string, cl *call[V]) (V, error) {
 	select {
 	case <-cl.done:
-		return cl.val, cl.err
 	case <-ctx.Done():
-		s.mu.Lock()
-		if !cl.finished {
-			cl.waiters--
-			if cl.waiters == 0 {
-				cl.cancel()
-				if s.inflight[key] == cl {
-					delete(s.inflight, key)
-				}
-			}
-			s.mu.Unlock()
+		if c.leave(s, key, cl) {
 			var zero V
 			return zero, ctx.Err()
 		}
-		s.mu.Unlock()
-		// The computation beat the cancellation; deliver the result.
 		<-cl.done
-		return cl.val, cl.err
 	}
+	return cl.val, cl.err
+}
+
+// leave withdraws one caller's interest in an unfinished call and reports
+// whether it did; it reports false once the call has finished.  The last
+// withdrawal cancels the computation and removes it from the in-flight
+// table, so a later Do for the key starts a fresh computation instead of
+// joining a dying one.
+func (c *Cache[V]) leave(s *shard[V], key string, cl *call[V]) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cl.finished {
+		return false
+	}
+	cl.waiters--
+	if cl.waiters == 0 {
+		cl.cancel()
+		if s.inflight[key] == cl {
+			delete(s.inflight, key)
+		}
+	}
+	return true
 }
 
 // insertLocked adds key→val to the shard (which must be locked) and evicts

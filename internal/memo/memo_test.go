@@ -239,9 +239,73 @@ func TestRetryAfterAbandonedCall(t *testing.T) {
 	}
 }
 
+// TestCancelledLeaderReturnsResult: a leader whose context is cancelled while
+// a joined caller still waits keeps computing on its own goroutine, returns
+// only after fn has returned, and gets the computed value, not ctx.Err().
+func TestCancelledLeaderReturnsResult(t *testing.T) {
+	c := memo.New[int](100)
+	inFn := make(chan struct{})
+	release := make(chan struct{})
+	var fnReturned atomic.Bool
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+
+	type result struct {
+		v      int
+		kind   memo.Kind
+		err    error
+		fnDone bool
+	}
+	leader := make(chan result, 1)
+	go func() {
+		v, kind, err := c.Do(ctx1, "k", func(cctx context.Context) (int, error) {
+			close(inFn)
+			select {
+			case <-release:
+			case <-cctx.Done():
+				return 0, cctx.Err()
+			}
+			fnReturned.Store(true)
+			return 6, nil
+		})
+		leader <- result{v, kind, err, fnReturned.Load()}
+	}()
+	<-inFn
+	joined := make(chan error, 1)
+	go func() {
+		v, _, err := c.Do(context.Background(), "k", func(context.Context) (int, error) {
+			return 0, errors.New("must not recompute")
+		})
+		if err == nil && v != 6 {
+			err = fmt.Errorf("joined caller got %d", v)
+		}
+		joined <- err
+	}()
+	for c.Stats().Dedups == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	cancel1() // the joined caller keeps the computation alive
+	select {
+	case r := <-leader:
+		t.Fatalf("cancelled leader returned before fn did: %+v", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if r := <-leader; r.err != nil || r.v != 6 || r.kind != memo.Miss || !r.fnDone {
+		t.Fatalf("cancelled leader got %+v, want 6 from a finished miss", r)
+	}
+	if err := <-joined; err != nil {
+		t.Fatalf("joined caller: %v", err)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
 // TestPanickingComputation: a panic inside fn becomes an error for every
-// joined caller — it must not escape on the cache's internal goroutine (which
-// would crash the process and leave waiters hanging) and must not be cached.
+// joined caller, the leader included — it must not escape the leader (which
+// would leave the joined callers hanging) and must not be cached.
 func TestPanickingComputation(t *testing.T) {
 	c := memo.New[int](100)
 	inFn := make(chan struct{})

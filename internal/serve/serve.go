@@ -5,15 +5,16 @@
 // All requests are batched onto one bounded worker pool — the same substrate
 // the campaign runner uses for offline sweeps: each pool goroutine owns a
 // campaign.Worker, exactly as a campaign.Run goroutine does, and reuses its
-// network across uncached requests (ringd -cache off; a cache miss computes
-// on a fresh network) — so a burst of clients queues instead of
+// network across requests — so a burst of clients queues instead of
 // oversubscribing the machine, and every request shares the
 // optional symmetry-canonical memo cache (internal/memo keyed by
 // internal/canon): two clients asking for rotations of the same ring are
-// served one computation.  Request contexts are threaded through to the
-// engine, so a disconnected or cancelled client stops burning CPU within one
-// simulated round (unless another in-flight client is waiting on the same
-// canonical computation).
+// served one computation.  A cache miss computes on the pool goroutine that
+// missed, so computations never outnumber the pool.  Request contexts are
+// threaded through to the engine, so a disconnected or cancelled client
+// stops burning CPU within one simulated round — unless another in-flight
+// client is waiting on the same canonical computation, in which case the
+// pool goroutine finishes it for that client.
 //
 // Endpoints:
 //
@@ -62,7 +63,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -171,9 +171,7 @@ type job struct {
 
 // New starts the worker pool and returns the server.
 func New(opts Options) *Server {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	opts.Workers = campaign.PoolSize(opts.Workers, 0)
 	if opts.MaxCampaignScenarios <= 0 {
 		opts.MaxCampaignScenarios = defaultMaxCampaignScenarios
 	}
@@ -209,9 +207,11 @@ func (s *Server) Close() {
 }
 
 // worker is one pool goroutine.  It owns a campaign.Worker, as the goroutines
-// of a campaign sweep do, so consecutive uncached scenarios reuse one network
-// sized to the largest n served so far (bounded by Options.MaxN); with
-// Options.Cache set, each miss computes on a fresh network instead.
+// of a campaign sweep do, so consecutive scenarios, cache misses included,
+// reuse one network sized to the largest n served so far (bounded by
+// Options.MaxN).  A miss whose client cancels while another client waits on
+// it keeps this goroutine busy until the computation ends, and its record
+// counts as served, not cancelled.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	var wk campaign.Worker

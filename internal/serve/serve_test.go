@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ringsym/internal/campaign"
+	"ringsym/internal/engine"
 	"ringsym/internal/serve"
 	"ringsym/internal/task"
 )
@@ -98,31 +99,38 @@ func TestRunEndpoint(t *testing.T) {
 
 // TestRunWorkerReusesNetwork: a one-worker daemon answers sequential /v1/run
 // requests of differing n — its pool goroutine resets one network for all
-// of them — with records equal to campaign.RunScenario on fresh networks.
+// of them, cache misses included — with records equal to
+// campaign.RunScenario on fresh networks, apart from the cache annotation.
 func TestRunWorkerReusesNetwork(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 1})
-	scs := []campaign.Scenario{
-		{Task: campaign.TaskDiscover, Model: "perceptive", N: 32, MixedChirality: true, Seed: 1},
-		{Task: campaign.TaskCoordinate, Model: "basic", N: 8, MixedChirality: true, Seed: 2},
-		{Task: campaign.TaskDiscover, Model: "lazy", N: 17, Seed: 3},
-		{Task: campaign.TaskCoordinate, Model: "perceptive", N: 16, Seed: 4},
-		{Task: campaign.TaskDiscover, Model: "basic", N: 9, MixedChirality: true, Seed: 5},
-	}
-	for _, sc := range scs {
-		resp := postJSON(t, ts.URL+"/v1/run", sc)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d", sc.Key(), resp.StatusCode)
+	for _, cache := range []*campaign.Cache{nil, campaign.NewCache(0)} {
+		_, ts := newTestServer(t, serve.Options{Workers: 1, Cache: cache})
+		scs := []campaign.Scenario{
+			{Task: campaign.TaskDiscover, Model: "perceptive", N: 32, MixedChirality: true, Seed: 1},
+			{Task: campaign.TaskCoordinate, Model: "basic", N: 8, MixedChirality: true, Seed: 2},
+			{Task: campaign.TaskDiscover, Model: "lazy", N: 17, Seed: 3},
+			{Task: campaign.TaskCoordinate, Model: "perceptive", N: 16, Seed: 4},
+			{Task: campaign.TaskDiscover, Model: "basic", N: 9, MixedChirality: true, Seed: 5},
 		}
-		got := decodeRecord(t, resp)
-		want := sc
-		want.IDBound = 4 * sc.N // the daemon's documented default
-		wantRec := campaign.RunScenario(want, campaign.Options{})
-		wantRec.Wall, got.Wall = 0, 0
-		if !reflect.DeepEqual(got, wantRec) {
-			t.Fatalf("%s: daemon record differs:\n got %+v\nwant %+v", sc.Key(), got, wantRec)
-		}
-		if got.Status != campaign.StatusOK || !got.Verified {
-			t.Fatalf("%s: record not ok: %+v", sc.Key(), got)
+		for _, sc := range scs {
+			resp := postJSON(t, ts.URL+"/v1/run", sc)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status = %d", sc.Key(), resp.StatusCode)
+			}
+			got := decodeRecord(t, resp)
+			if cache != nil && got.Cache != "miss" {
+				t.Fatalf("%s: cache = %q, want miss", sc.Key(), got.Cache)
+			}
+			got.Cache = ""
+			want := sc
+			want.IDBound = 4 * sc.N // the daemon's documented default
+			wantRec := campaign.RunScenario(want, campaign.Options{})
+			wantRec.Wall, got.Wall = 0, 0
+			if !reflect.DeepEqual(got, wantRec) {
+				t.Fatalf("%s: daemon record differs:\n got %+v\nwant %+v", sc.Key(), got, wantRec)
+			}
+			if got.Status != campaign.StatusOK || !got.Verified {
+				t.Fatalf("%s: record not ok: %+v", sc.Key(), got)
+			}
 		}
 	}
 }
@@ -446,6 +454,80 @@ func TestCancellationMidRequest(t *testing.T) {
 	}
 	if rec := decodeRecord(t, resp); rec.Status != campaign.StatusOK {
 		t.Fatalf("follow-up record: %+v", rec)
+	}
+}
+
+// TestCancelledLeaderServesWaiter: when the client whose request leads a
+// cache miss disconnects while another client waits on the same
+// computation, the leader's pool goroutine finishes the computation for the
+// waiter instead of taking new work, so computations never outnumber the
+// pool, and the leader's record counts as served, not cancelled.
+func TestCancelledLeaderServesWaiter(t *testing.T) {
+	cache := campaign.NewCache(0)
+	pool, ts := newTestServer(t, serve.Options{Workers: 2, Cache: cache})
+	raw, err := json.Marshal(campaign.Scenario{Task: campaign.TaskDiscover, Model: "perceptive", N: 128, Seed: 1, MixedChirality: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(raw))
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The leader's request is the first whose protocol runs: once the
+	// engine's round counter moves, it owns the computation.
+	rounds := engine.CounterSnapshot().Rounds
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderDone := make(chan error, 1)
+	go func() {
+		resp, err := post(ctx)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	waitFor("the leader to compute", func() bool { return engine.CounterSnapshot().Rounds > rounds })
+	waiter := make(chan *http.Response, 1)
+	go func() {
+		resp, err := post(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- resp
+	}()
+	waitFor("the waiter to join", func() bool { return cache.Stats().Dedups == 1 })
+
+	cancel()
+	if err := <-leaderDone; err == nil {
+		t.Fatal("cancelled request returned a response")
+	}
+	resp := <-waiter
+	if resp == nil {
+		t.FailNow()
+	}
+	if rec := decodeRecord(t, resp); rec.Status != campaign.StatusOK || rec.Cache != "dedup" {
+		t.Fatalf("waiter record: %+v", rec)
+	}
+	waitFor("both records", func() bool { return pool.Snapshot().Records == 2 })
+	if m := pool.Snapshot(); m.Cancelled != 0 || m.Failed != 0 {
+		t.Fatalf("metrics: %+v", m)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("cache stats: %+v", st)
 	}
 }
 

@@ -244,14 +244,11 @@ func RunContext[T any](ctx context.Context, n *Network, build func(a *Agent) *Pr
 type CoordinationOptions struct {
 	// CommonSense promises that all agents share a sense of direction (the
 	// paper's Table II setting).  Only set it for networks built without
-	// mixed chirality.
+	// mixed chirality.  Without it, a perceptive network runs the
+	// O(√n·log N) Section V algorithms.
 	CommonSense bool
 	// Seed drives the pseudo-random schedules used for even n.
 	Seed int64
-	// DisablePerceptiveAlgorithms makes a perceptive network use the
-	// basic-model algorithms instead of the O(√n·log N) Section V ones, which
-	// run by default when the model is perceptive and CommonSense is unset.
-	DisablePerceptiveAlgorithms bool
 }
 
 // AgentCoordination is one agent's coordination outcome.
@@ -283,7 +280,7 @@ func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, err
 // CoordinateContext is Coordinate with cancellation: a cancelled ctx aborts
 // the pipeline within one round.
 func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOptions) (*CoordinationResult, error) {
-	usePerceptive := n.Model() == Perceptive && !opts.DisablePerceptiveAlgorithms && !opts.CommonSense
+	usePerceptive := n.Model() == Perceptive && !opts.CommonSense
 	outputs, rounds, err := RunContext(ctx, n, func(a *Agent) *Proto[*core.Coordination] {
 		if usePerceptive {
 			return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
