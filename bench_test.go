@@ -139,7 +139,7 @@ func BenchmarkFigure3RingDist(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				samples, err := eval.MeasureRingDist([]int{n}, 4, int64(i))
+				samples, err := eval.MeasureRingDist([]int{n}, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -346,9 +346,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 func BenchmarkEngineRound(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cfg := netgen.MustGenerate(netgen.Options{N: n, Seed: 1, Model: ring.Perceptive})
-			cfg.MaxRounds = math.MaxInt
-			nw, err := engine.New(cfg)
+			nw, err := engineSweepNetwork(n, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -398,21 +396,58 @@ func BenchmarkEngineLeapSingle(b *testing.B) {
 	benchEngineSweep(b, 1)
 }
 
-// benchEngineSweep drives the shared constant-direction sweep workload
-// (eval.EngineSweepProtocol, the same workload benchtables -engine measures)
-// with the given batch size (1 = the per-round path) and reports rounds/sec.
+// benchEngineSweep drives the constant-direction sweep workload
+// (engineSweepProtocol) with the given batch size (1 = the per-round path)
+// and reports rounds/sec.
 func benchEngineSweep(b *testing.B, batch int) {
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw, err := eval.EngineSweepNetwork(n, 1)
+			nw, err := engineSweepNetwork(n, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if _, err := engine.RunFSM(nw, eval.EngineSweepProtocol(b.N, batch)); err != nil {
+			if _, err := engine.RunFSM(nw, engineSweepProtocol(b.N, batch)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+		})
+	}
+}
+
+// engineSweepNetwork builds the uncapped perceptive network the engine
+// benchmarks run on.
+func engineSweepNetwork(n int, seed int64) (*engine.Network, error) {
+	cfg := netgen.MustGenerate(netgen.Options{N: n, Seed: seed, Model: ring.Perceptive})
+	cfg.MaxRounds = math.MaxInt
+	return engine.New(cfg)
+}
+
+// engineSweepProtocol builds the agent machine of the constant-direction
+// sweep workload: each agent keeps a direction fixed by the parity of its
+// identifier (both directions present) for the given number of rounds, in
+// YieldRoundN batches of the given size.  batch = 1 submits one round per
+// crossing, the per-round path, and larger batches use leap execution.
+func engineSweepProtocol(rounds, batch int) func(a *engine.Agent) *engine.Proto[int] {
+	return func(a *engine.Agent) *engine.Proto[int] {
+		dir := ring.Clockwise
+		if a.ID()%2 == 0 {
+			dir = ring.Anticlockwise
+		}
+		return engine.NewProto(func(done func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			traceLen := 0
+			var loop func(dr int) (engine.Yield, engine.Cont)
+			loop = func(dr int) (engine.Yield, engine.Cont) {
+				if dr >= rounds {
+					return done(traceLen)
+				}
+				k := min(batch, rounds-dr)
+				return a.YieldRoundN(dir, k), func(in engine.Resume) (engine.Yield, engine.Cont) {
+					traceLen = len(in.Obs)
+					return loop(dr + k)
+				}
+			}
+			return loop(0)
 		})
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -140,7 +141,8 @@ type Matrix struct {
 	// defaults to {false}.
 	Reflections []bool `json:"reflections,omitempty"`
 	// IDBoundFactor sets the identifier bound N = IDBoundFactor·n;
-	// defaults to 4.
+	// defaults to 4.  Expand rejects a factor whose product with some n
+	// overflows int.
 	IDBoundFactor int `json:"id_bound_factor,omitempty"`
 }
 
@@ -264,6 +266,9 @@ func (m Matrix) Expand() ([]Scenario, error) {
 							n := AdjustParity(size, odd)
 							if n < 5 {
 								return nil, fmt.Errorf("campaign: size %d too small (the paper needs n > 4)", size)
+							}
+							if f.IDBoundFactor > math.MaxInt/n {
+								return nil, fmt.Errorf("campaign: id_bound_factor %d overflows the identifier bound at n = %d", f.IDBoundFactor, n)
 							}
 							for _, seed := range f.Seeds {
 								for _, phase := range f.Phases {

@@ -68,6 +68,7 @@ func TestExpandRejectsBadAxes(t *testing.T) {
 		{Parities: []string{"prime"}},
 		{Chirality: []string{"sinister"}},
 		{Sizes: []int{3}},
+		{Sizes: []int{8}, IDBoundFactor: 1729382256910270464},
 	} {
 		if _, err := m.Expand(); err == nil {
 			t.Errorf("Expand(%+v) accepted an invalid axis", m)
@@ -157,4 +158,48 @@ func TestDecodeMatrix(t *testing.T) {
 	if _, err := DecodeMatrix(strings.NewReader(`{"sizes": "all"}`)); err == nil {
 		t.Error("DecodeMatrix accepted a mistyped axis value")
 	}
+}
+
+// FuzzDecodeMatrix: any sweep spec an HTTP client can send is rejected by
+// DecodeMatrix or Expand, or expands within its UpperBounds: at most the
+// bounded number of scenarios, each with 5 <= N <= maxN and an identifier
+// bound of exactly the factor times N.
+func FuzzDecodeMatrix(f *testing.F) {
+	for _, spec := range []string{
+		`{"tasks": ["patrol"], "models": ["lazy"], "sizes": [9], "seeds": [1, 2]}`,
+		`{"task": ["coordinate"], "sizes": [8]}`,
+		`{"sizes": [8]} {"sizes": [16]}`,
+		`{"sizes": "all"}`,
+		`{"sizes": [8], "id_bound_factor": 4611686018427387905}`,
+		`{"sizes": [8], "id_bound_factor": 4611686018427387904}`,
+		`{"sizes": [8], "id_bound_factor": 1729382256910270464}`,
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := DecodeMatrix(strings.NewReader(spec))
+		if err != nil {
+			return
+		}
+		bound, maxN := m.UpperBounds()
+		if bound > 4096 {
+			return // a server rejects it before expanding
+		}
+		scenarios, err := m.Expand()
+		if err != nil {
+			return
+		}
+		if len(scenarios) > bound {
+			t.Fatalf("%s: %d scenarios, above the bound of %d", spec, len(scenarios), bound)
+		}
+		factor := m.filled().IDBoundFactor
+		for _, sc := range scenarios {
+			if sc.N < 5 || sc.N > maxN {
+				t.Fatalf("%s: %s has n outside [5, %d]", spec, sc.Key(), maxN)
+			}
+			if sc.IDBound < sc.N || sc.IDBound%sc.N != 0 || sc.IDBound/sc.N != factor {
+				t.Fatalf("%s: %s has id_bound %d, want %d·%d", spec, sc.Key(), sc.IDBound, factor, sc.N)
+			}
+		}
+	})
 }

@@ -80,13 +80,15 @@ type Measurement struct {
 	Solvable bool
 }
 
+// IDBoundFactor fixes the identifier bound of every measured network at
+// N = IDBoundFactor·n.
+const IDBoundFactor = 4
+
 // SweepConfig controls a table sweep.
 type SweepConfig struct {
 	// Sizes are the network sizes n to measure (adjusted by one to match the
 	// parity of the setting).
 	Sizes []int
-	// IDBoundFactor sets N = IDBoundFactor·n (defaults to 4).
-	IDBoundFactor int
 	// Seed drives the pseudo-random configurations and schedules.
 	Seed int64
 }
@@ -94,9 +96,6 @@ type SweepConfig struct {
 func (c *SweepConfig) fill() {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{16, 32, 64, 128}
-	}
-	if c.IDBoundFactor <= 0 {
-		c.IDBoundFactor = 4
 	}
 }
 
@@ -208,7 +207,7 @@ func TableRows(ctx context.Context, settings []Setting, cfg SweepConfig) ([]Meas
 	for _, s := range settings {
 		for _, rawN := range cfg.Sizes {
 			n := campaign.AdjustParity(rawN, s.OddN)
-			idBound := cfg.IDBoundFactor * n
+			idBound := IDBoundFactor * n
 			cells = append(cells, cell{s: s, n: n})
 			coord := scenario(s, campaign.TaskCoordinate, n, idBound, cfg.Seed)
 			coord.Index = len(scenarios)

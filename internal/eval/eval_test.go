@@ -50,7 +50,7 @@ func TestBoundFormulas(t *testing.T) {
 // about n in the lazy model and about n/2 (plus overhead) in the perceptive
 // model, and the basic model with even n cannot solve location discovery.
 func TestTable1SmallSweep(t *testing.T) {
-	rows, err := TableRows(context.Background(), Table1Settings(), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
+	rows, err := TableRows(context.Background(), Table1Settings(), SweepConfig{Sizes: []int{8, 16}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTable1SmallSweep(t *testing.T) {
 }
 
 func TestTable2SmallSweep(t *testing.T) {
-	rows, err := TableRows(context.Background(), Table2Settings(), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
+	rows, err := TableRows(context.Background(), Table2Settings(), SweepConfig{Sizes: []int{8}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMeasureReductions(t *testing.T) {
 }
 
 func TestMeasureRingDist(t *testing.T) {
-	samples, err := MeasureRingDist([]int{8, 16}, 4, 2)
+	samples, err := MeasureRingDist([]int{8, 16}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

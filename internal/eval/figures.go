@@ -143,14 +143,11 @@ type RingDistSample struct {
 
 // MeasureRingDist measures the number of rounds RingDist needs (after
 // coordination) in the perceptive model for each size.
-func MeasureRingDist(sizes []int, idBoundFactor int, seed int64) ([]RingDistSample, error) {
-	if idBoundFactor <= 0 {
-		idBoundFactor = 4
-	}
+func MeasureRingDist(sizes []int, seed int64) ([]RingDistSample, error) {
 	var out []RingDistSample
 	for _, rawN := range sizes {
 		n := campaign.AdjustParity(rawN, false)
-		idBound := idBoundFactor * n
+		idBound := IDBoundFactor * n
 		nw, err := network(Setting{Model: ring.Perceptive}, n, idBound, seed)
 		if err != nil {
 			return nil, err

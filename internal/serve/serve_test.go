@@ -715,9 +715,10 @@ func TestRunRegistryTasks(t *testing.T) {
 func TestCampaignValidation(t *testing.T) {
 	pool, ts := newTestServer(t, serve.Options{Workers: 1})
 	for name, body := range map[string]string{
-		"unknown field": `{"task": ["coordinate"], "sizes": [8]}`,
-		"bad task":      `{"tasks": ["elect"], "sizes": [8]}`,
-		"trailing":      `{"sizes": [8]}{}`,
+		"unknown field":   `{"task": ["coordinate"], "sizes": [8]}`,
+		"bad task":        `{"tasks": ["elect"], "sizes": [8]}`,
+		"trailing":        `{"sizes": [8]}{}`,
+		"factor overflow": `{"sizes": [8], "id_bound_factor": 1729382256910270464}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -728,7 +729,7 @@ func TestCampaignValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if m := pool.Snapshot(); m.BadRequests != 3 || m.Records != 0 {
+	if m := pool.Snapshot(); m.BadRequests != 4 || m.Records != 0 {
 		t.Fatalf("metrics after bad requests: %+v", m)
 	}
 }
